@@ -11,13 +11,17 @@ Every backend runs **twice**; the run's ``stats_digest`` (sha256 over
 all schedule-derived numbers: latency percentiles, throughput, payload
 units, final replica state) must match byte-for-byte across the
 reruns — the acceptance bar that the whole service stack is
-deterministic.  Results land in ``BENCH_kvservice.json``.
+deterministic.  Each backend runs in its own freshly spawned
+interpreter, so a case's ``peak_rss_bytes`` is that backend's own peak
+rather than a high-water mark over the backends before it.  Results
+land in ``BENCH_kvservice.json``.
 
 CI smoke: ``python benchmarks/bench_kvservice.py --smoke`` does the
 same with a ~1.5k-op workload, bounded to seconds.
 """
 
 import time
+from multiprocessing import get_context
 
 from bench_json import peak_rss_bytes, write_bench_artifact
 
@@ -78,6 +82,12 @@ def run_backend(spec, backend, n=3, seed=1):
     }
 
 
+def run_backend_alone(spec, backend):
+    """:func:`run_backend` in a fresh spawned interpreter of its own."""
+    with get_context("spawn").Pool(1) as pool:
+        return pool.apply(run_backend, (spec, backend))
+
+
 def main(argv=None):
     import argparse
 
@@ -88,7 +98,7 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="artifact directory")
     args = parser.parse_args(argv)
     spec = SMOKE_SPEC if args.smoke else FULL_SPEC
-    cases = [run_backend(spec, backend) for backend in BACKENDS]
+    cases = [run_backend_alone(spec, backend) for backend in BACKENDS]
     name = "kvservice_smoke" if args.smoke else "kvservice"
     path = write_bench_artifact(
         name,
@@ -96,6 +106,10 @@ def main(argv=None):
         out_dir=args.out,
         unit="one backend serving the workload (run twice, digest-checked)",
         extra_meta={
+            "rss_note": (
+                "peak_rss_bytes is the peak of the spawned interpreter "
+                "that ran that backend alone"
+            ),
             "workload": (
                 f"{spec.total_ops} ops, zipf s={spec.zipf_s} over {spec.keys} "
                 f"keys, mix {dict(spec.op_mix)}, batch={spec.batch_size}, "

@@ -13,17 +13,39 @@ meter **payload units** — the number of scalar leaves a message carries:
   :class:`repro.sync.algorithms.flooding.DeltaMessage`, whose integer
   digest bitmask is one machine word no matter how many pids it encodes.
 
+Every kernel meters every send, so :func:`payload_units` dispatches on
+the exact type: a value whose type *is* one of the builtin scalar or
+container types above is counted directly, scalar leaves in place
+inside the container loop.  Subclasses (namedtuples, ``IntEnum``
+members, the sanitizer's frozen containers), other ``Mapping`` types
+and every other object follow the general rules, checked in this
+order: a scalar (of any subclass) counts 1, then an override wins,
+then mappings and containers sum their items, and anything else
+counts 1.  An exact builtin cannot carry an override, so counts are
+the same as under the general rules alone, and an override on a
+container subclass always wins.  A service-style write (an SCD ``"w"``
+broadcast of stamped key/value pairs) and a replica's state dict:
+
+>>> payload_units(("w", (("k1", "v1", (3, 0)), ("k2", None, (1, 0)))))
+9
+>>> payload_units({"k1": ["v1", 2.5], "k2": ()})
+5
+
 The unit is deliberately machine-independent (like rounds and Δ): two
 runs with the same message trace report identical volume on any host.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Set, Tuple
+from itertools import chain
+from typing import Mapping
 
 from .exceptions import ModelViolation
 
 _SCALARS = (int, float, complex, str, bytes, bool, type(None))
+#: Exact types counted without the general rules (see the module docstring).
+_EXACT_SCALARS = frozenset(_SCALARS)
+_EXACT_COLLECTIONS = frozenset((tuple, list, set, frozenset))
 
 
 def payload_units(message: object) -> int:
@@ -37,6 +59,26 @@ def payload_units(message: object) -> int:
     :class:`~repro.core.exceptions.ModelViolation` — a bad weight would
     silently skew every volume metric downstream.
     """
+    cls = type(message)
+    if cls in _EXACT_SCALARS:
+        return 1
+    if cls in _EXACT_COLLECTIONS:
+        items = message
+    elif cls is dict:
+        items = chain.from_iterable(message.items())
+    else:
+        return _general_units(message)
+    total = 0
+    for item in items:
+        if type(item) in _EXACT_SCALARS:
+            total += 1
+        else:
+            total += payload_units(item)
+    return total or 1
+
+
+def _general_units(message: object) -> int:
+    """The general rules, for every input that is not an exact builtin."""
     if isinstance(message, _SCALARS):
         return 1
     sizer = getattr(message, "__payload_units__", None)
