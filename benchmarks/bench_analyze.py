@@ -3,9 +3,9 @@
 The sanitizer contract (see ``repro.analyze.freeze`` and the kernels'
 ``sanitize`` parameter): when off it costs one predictable branch per
 send (AMP), per outbox collection (sync), and per step (shm) — no
-freezing, no copies.  ``_NoSanitizeRuntime`` below reinstates the
-pre-sanitizer AMP ``_send`` verbatim (the same method with the sanitize
-branch deleted), so the claim is measured head-to-head on the
+freezing, no copies.  ``_NoSanitizeRuntime`` below is the AMP ``_send``
+with its sanitize branch deleted (the same method otherwise), so the
+claim is measured head-to-head on the
 ``bench_kernel_hotpath`` stress workload.
 
 Asserted claim shape: sanitize-off overhead < 10% versus the no-branch
@@ -18,11 +18,13 @@ protocols, and that is asserted for all three kernels.
 Also runnable standalone (CI smoke): ``python benchmarks/bench_analyze.py --smoke``.
 """
 
+import heapq
+
 from bench_kernel_hotpath import BurstSender, LIFODelay
 from bench_trace import best_of, best_of_interleaved
 
 from repro.amp.network import AsyncRuntime, CrashAt
-from repro.core.exceptions import ConfigurationError, ModelViolation
+from repro.core.exceptions import ConfigurationError
 from repro.core.volume import payload_units
 from repro.shm.runtime import Runtime, make_registers, read, write
 from repro.shm.schedulers import RoundRobinScheduler
@@ -38,24 +40,47 @@ ANALYZER_BUDGET_S = 30.0
 
 
 class _NoSanitizeRuntime(AsyncRuntime):
-    """The AMP send path with the sanitize branch deleted — the
-    pre-sanitizer kernel, reinstated verbatim as the overhead baseline."""
+    """The AMP send path with the sanitize branch deleted — the kernel's
+    ``_send`` minus that one branch, as the overhead baseline."""
 
-    def _send(self, src, dst, payload):
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+    def _send(self, src, dsts, payload):
         if src in self.crashed:
             return
-        delay = self.delay_model.delay(src, dst, self.now, self._rng)
-        if delay <= 0:
-            raise ConfigurationError("delay model produced non-positive delay")
         units = payload_units(payload)
-        event_id = self._push(self.now + delay, "deliver", (src, dst, payload, units))
-        self._in_flight[src].add(event_id)
-        self.messages_sent += 1
-        self.payload_sent += units
-        if self._sink is not None:
-            self._sink.amp_send(event_id, src, dst, payload, units, self.now)
+        now = self.now
+        rng = self._rng
+        link_model = self.link_model
+        delay_model = self.delay_model
+        queue = self._queue
+        event_seq = self._event_seq
+        in_flight = self._in_flight[src]
+        sink = self._sink
+        for dst in dsts:
+            self.messages_sent += 1
+            self.payload_sent += units
+            fates = link_model.fates(src, dst, now, rng)
+            if not fates:
+                event_id = next(event_seq)
+                if sink is not None:
+                    sink.amp_send(event_id, src, dst, payload, units, now)
+                    sink.amp_drop(event_id, now, reason="loss")
+                continue
+            data = (src, dst, payload, units)
+            first_id = None
+            for extra in fates:
+                delay = delay_model.delay(src, dst, now, rng)
+                if delay <= 0:
+                    raise ConfigurationError("delay model produced non-positive delay")
+                event_id = next(event_seq)
+                heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
+                in_flight.add(event_id)
+                if sink is not None:
+                    if first_id is None:
+                        sink.amp_send(event_id, src, dst, payload, units, now)
+                    else:
+                        sink.amp_send_dup(event_id, first_id)
+                if first_id is None:
+                    first_id = event_id
 
 
 # -- workloads (one per kernel) ----------------------------------------------

@@ -39,19 +39,18 @@ class _LegacyRuntime(AsyncRuntime):
         super().__init__(*args, **kwargs)
         self._in_flight = {pid: [] for pid in range(self.n)}
 
-    def _send(self, src, dst, payload):
-        from repro.core.exceptions import ConfigurationError, ModelViolation
+    def _send(self, src, dsts, payload):
+        from repro.core.exceptions import ConfigurationError
 
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
         if src in self.crashed:
             return
-        delay = self.delay_model.delay(src, dst, self.now, self._rng)
-        if delay <= 0:
-            raise ConfigurationError("delay model produced non-positive delay")
-        event_id = self._push(self.now + delay, "deliver", (src, dst, payload))
-        self._in_flight[src].append(event_id)
-        self.messages_sent += 1
+        for dst in dsts:
+            delay = self.delay_model.delay(src, dst, self.now, self._rng)
+            if delay <= 0:
+                raise ConfigurationError("delay model produced non-positive delay")
+            event_id = self._push(self.now + delay, "deliver", (src, dst, payload))
+            self._in_flight[src].append(event_id)
+            self.messages_sent += 1
 
     def _handle_crash(self, pid, drop_fraction):
         from repro.core.exceptions import ModelViolation

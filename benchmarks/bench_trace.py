@@ -2,8 +2,8 @@
 
 The tracing contract (see ``repro.trace``): ``sink=None`` must cost one
 predictable branch per event site and nothing else — no allocation, no
-clock bookkeeping.  ``_NoHookRuntime`` below reinstates the pre-trace AMP
-hot path verbatim (the same methods with the sink branches deleted), so
+clock bookkeeping.  ``_NoHookRuntime`` below is the AMP hot path with
+its sink branches deleted (the same methods, hooks removed), so
 the "one ``if`` per site" claim is measured head-to-head on the
 ``bench_kernel_hotpath`` stress workload: n=32, ~50k messages, a LIFO
 delay model, one mid-run crash.
@@ -22,6 +22,7 @@ import time
 from bench_kernel_hotpath import BurstSender, LIFODelay
 
 from repro.amp.network import AsyncRuntime, CrashAt
+from repro.analyze.freeze import deep_freeze
 from repro.core.exceptions import (
     ConfigurationError,
     ModelViolation,
@@ -39,22 +40,37 @@ OVERHEAD_BUDGET = 1.05  # disabled sink ≤ 5% over the no-hook baseline
 
 
 class _NoHookRuntime(AsyncRuntime):
-    """The AMP hot path with the sink branches deleted — the pre-trace
-    kernel, reinstated verbatim as the overhead baseline."""
+    """The AMP hot path with the sink branches deleted — the kernel's
+    methods minus their trace hooks, as the overhead baseline."""
 
-    def _send(self, src, dst, payload):
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+    def _send(self, src, dsts, payload):
         if src in self.crashed:
             return
-        delay = self.delay_model.delay(src, dst, self.now, self._rng)
-        if delay <= 0:
-            raise ConfigurationError("delay model produced non-positive delay")
+        if self._sanitize:
+            payload = deep_freeze(payload)
         units = payload_units(payload)
-        event_id = self._push(self.now + delay, "deliver", (src, dst, payload, units))
-        self._in_flight[src].add(event_id)
-        self.messages_sent += 1
-        self.payload_sent += units
+        now = self.now
+        rng = self._rng
+        link_model = self.link_model
+        delay_model = self.delay_model
+        queue = self._queue
+        event_seq = self._event_seq
+        in_flight = self._in_flight[src]
+        for dst in dsts:
+            self.messages_sent += 1
+            self.payload_sent += units
+            fates = link_model.fates(src, dst, now, rng)
+            if not fates:
+                next(event_seq)
+                continue
+            data = (src, dst, payload, units)
+            for extra in fates:
+                delay = delay_model.delay(src, dst, now, rng)
+                if delay <= 0:
+                    raise ConfigurationError("delay model produced non-positive delay")
+                event_id = next(event_seq)
+                heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
+                in_flight.add(event_id)
 
     def _set_timer(self, pid, delay, name):
         if delay < 0:

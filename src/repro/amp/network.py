@@ -326,14 +326,22 @@ class Context:
 
     def send(self, dst: int, payload: object) -> None:
         """Send one message on the reliable channel to ``dst``."""
-        self._runtime._send(self.pid, dst, payload)
+        if not 0 <= dst < self.n:
+            raise ModelViolation(f"process {self.pid} sent to unknown process {dst}")
+        self._runtime._send(self.pid, (dst,), payload)
 
     def broadcast(self, payload: object, include_self: bool = True) -> None:
-        """Send to every process (n sends; NOT reliable broadcast)."""
-        for dst in range(self.n):
-            if dst == self.pid and not include_self:
-                continue
-            self.send(dst, payload)
+        """Send ``payload`` to every process, in pid order (NOT reliable
+        broadcast).
+
+        One send call: the payload is measured once and each of the n
+        copies (n - 1 without ``include_self``) is charged for it, so
+        the counters equal those of n single sends.
+        """
+        dsts = range(self.n)
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != self.pid]
+        self._runtime._send(self.pid, dsts, payload)
 
     def set_timer(self, delay: float, name: object = None) -> None:
         """Schedule ``on_timer(name)`` after ``delay`` time units."""
@@ -473,7 +481,8 @@ class AsyncRuntime:
         is captured as a serializing channel would capture it, and any
         later mutation of the delivered object raises
         :class:`~repro.analyze.freeze.FrozenMutationError` at the
-        mutation site.  Off, it costs one ``if`` per send.
+        mutation site.  A broadcast is frozen once and its copies share
+        the frozen value.  Off, it costs one ``if`` per send call.
     """
 
     def __init__(
@@ -615,47 +624,62 @@ class AsyncRuntime:
         heapq.heappush(self._queue, (time, event_id, kind, data))
         return event_id
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+    def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
+        """Send ``payload`` from ``src`` to each pid of ``dsts``, in order.
+
+        The one send primitive (``Context.send`` passes ``(dst,)``,
+        ``Context.broadcast`` its whole fan-out): the crashed-sender
+        check, the sanitizer's freeze and the payload measure run once
+        per call; each copy then draws its fates and delays, takes its
+        event ids and is charged, exactly as a single send would be.
+        """
         if src in self.crashed:
             return  # a crashed process sends nothing
         if self._sanitize:
             payload = deep_freeze(payload)
         # Units ride along in the event so delivery never re-measures.
         units = payload_units(payload)
-        # sent/payload_sent meter *logical* sends: what the protocol paid,
-        # independent of what the wire did (loss and duplication show up in
-        # the delivered counters instead).
-        self.messages_sent += 1
-        self.payload_sent += units
-        fates = self.link_model.fates(src, dst, self.now, self._rng)
-        if not fates:
-            # Lost on the wire.  Consume an event id anyway so event-id
-            # streams (and hence replays) don't depend on the sink being
-            # attached; a lost message draws no transfer delay.
-            event_id = next(self._event_seq)
-            if self._sink is not None:
-                self._sink.amp_send(event_id, src, dst, payload, units, self.now)
-                self._sink.amp_drop(event_id, self.now, reason="loss")
-            return
-        first_id: Optional[int] = None
-        for extra in fates:
-            delay = self.delay_model.delay(src, dst, self.now, self._rng)
-            if delay <= 0:
-                raise ConfigurationError("delay model produced non-positive delay")
-            event_id = self._push(
-                self.now + delay + extra, "deliver", (src, dst, payload, units)
-            )
-            self._in_flight[src].add(event_id)
-            if self._sink is not None:
+        now = self.now
+        rng = self._rng
+        link_model = self.link_model
+        delay_model = self.delay_model
+        queue = self._queue
+        event_seq = self._event_seq
+        in_flight = self._in_flight[src]
+        sink = self._sink
+        for dst in dsts:
+            # sent/payload_sent meter *logical* sends: what the protocol
+            # paid, independent of what the wire did (loss and duplication
+            # show up in the delivered counters instead).
+            self.messages_sent += 1
+            self.payload_sent += units
+            fates = link_model.fates(src, dst, now, rng)
+            if not fates:
+                # Lost on the wire.  Consume an event id anyway so event-id
+                # streams (and hence replays) don't depend on the sink being
+                # attached; a lost message draws no transfer delay.
+                event_id = next(event_seq)
+                if sink is not None:
+                    sink.amp_send(event_id, src, dst, payload, units, now)
+                    sink.amp_drop(event_id, now, reason="loss")
+                continue
+            data = (src, dst, payload, units)
+            first_id: Optional[int] = None
+            for extra in fates:
+                delay = delay_model.delay(src, dst, now, rng)
+                if delay <= 0:
+                    raise ConfigurationError("delay model produced non-positive delay")
+                event_id = next(event_seq)
+                heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
+                in_flight.add(event_id)
+                if sink is not None:
+                    if first_id is None:
+                        sink.amp_send(event_id, src, dst, payload, units, now)
+                    else:
+                        # A wire duplicate shares the original's send_seq.
+                        sink.amp_send_dup(event_id, first_id)
                 if first_id is None:
-                    self._sink.amp_send(event_id, src, dst, payload, units, self.now)
-                else:
-                    # A wire duplicate shares the original's send_seq.
-                    self._sink.amp_send_dup(event_id, first_id)
-            if first_id is None:
-                first_id = event_id
+                    first_id = event_id
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:

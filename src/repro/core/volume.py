@@ -13,7 +13,11 @@ meter **payload units** — the number of scalar leaves a message carries:
   :class:`repro.sync.algorithms.flooding.DeltaMessage`, whose integer
   digest bitmask is one machine word no matter how many pids it encodes.
 
-Every kernel meters every send, so :func:`payload_units` dispatches on
+Every kernel meters what it sends: the synchronous kernels measure each
+outgoing message, and an AMP send call is measured once and charged
+once per copy, so a broadcast to n processes costs one measure and
+``payload_sent`` still grows by n times its units.  Metering sits on
+every send path, so :func:`payload_units` dispatches on
 the exact type: a value whose type *is* one of the builtin scalar or
 container types above is counted directly, scalar leaves in place
 inside the container loop.  Subclasses (namedtuples, ``IntEnum``

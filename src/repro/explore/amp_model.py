@@ -45,7 +45,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..amp.network import AsyncProcess, AsyncRuntime, FixedDelay
-from ..core.exceptions import ConfigurationError, ModelViolation
+from ..core.exceptions import ConfigurationError
 from ..core.volume import payload_units
 from ..trace.events import TraceEvent, trace_hash
 from ..trace.replay import replay
@@ -100,19 +100,20 @@ class AmpExplorationRuntime(AsyncRuntime):
 
     # -- protocol-facing plumbing (parked, not scheduled) ------------------
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+    def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
         if src in self.crashed:
             return
         units = payload_units(payload)
-        seq = self._send_counter
-        self._send_counter += 1
-        self.pending[seq] = (src, dst, payload, units)
-        self.messages_sent += 1
-        self.payload_sent += units
-        if self._sink is not None:
-            self._sink.amp_send(seq, src, dst, payload, units, self.now)
+        pending = self.pending
+        sink = self._sink
+        for dst in dsts:
+            seq = self._send_counter
+            self._send_counter = seq + 1
+            pending[seq] = (src, dst, payload, units)
+            self.messages_sent += 1
+            self.payload_sent += units
+            if sink is not None:
+                sink.amp_send(seq, src, dst, payload, units, self.now)
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:

@@ -9,8 +9,10 @@ a minimal, self-contained repro: the protocol plus one JSONL file.
 
 The replay is *checked*: every send the re-executed protocol emits is
 matched against the recorded one (same src, dst, payload ``repr``, in
-the same global order), and every recorded delivery must find its
-pending send.  Any mismatch raises :exc:`ReplayDivergence` — the
+the same global order), a send with no recorded counterpart or a
+recorded send never re-issued is a mismatch, and every recorded
+delivery must find its pending send.  Any mismatch raises
+:exc:`ReplayDivergence` — the
 protocol is nondeterministic beyond its seeded RNG, which is itself a
 finding.
 
@@ -128,32 +130,40 @@ class ReplayRuntime(AsyncRuntime):
 
     # -- protocol-facing plumbing (indexed, not scheduled) -----------------
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
-        if not 0 <= dst < self.n:
-            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+    def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
         if src in self.crashed:
             return
-        seq = self._replay_send_seq
-        self._replay_send_seq += 1
-        recorded = self._recorded_sends.get(seq)
-        if recorded is not None and (
-            recorded.data["src"] != src
-            or recorded.data["dst"] != dst
-            or recorded.data["payload"] != repr(payload)
-        ):
-            raise ReplayDivergence(
-                f"send #{seq} diverged: recorded "
-                f"{recorded.data['src']}→{recorded.data['dst']} "
-                f"{recorded.data['payload']}, replayed {src}→{dst} {payload!r}"
-            )
+        payload_repr = repr(payload)
         units = payload_units(payload)
-        self._pending_sends[seq] = (src, dst, payload, units)
-        self.messages_sent += 1
-        self.payload_sent += units
-        if self._sink is not None:
-            self._sink.amp_send(seq, src, dst, payload, units, self.now)
-            if seq in self._inline_losses:
-                self._sink.amp_drop(seq, self.now, reason="loss")
+        recorded_sends = self._recorded_sends
+        sink = self._sink
+        for dst in dsts:
+            seq = self._replay_send_seq
+            self._replay_send_seq = seq + 1
+            recorded = recorded_sends.get(seq)
+            if recorded is None:
+                raise ReplayDivergence(
+                    f"send #{seq} {src}→{dst} {payload_repr} has no recorded "
+                    f"counterpart (the recording has {len(recorded_sends)} sends)"
+                )
+            data = recorded.data
+            if (
+                data["src"] != src
+                or data["dst"] != dst
+                or data["payload"] != payload_repr
+            ):
+                raise ReplayDivergence(
+                    f"send #{seq} diverged: recorded "
+                    f"{data['src']}→{data['dst']} {data['payload']}, "
+                    f"replayed {src}→{dst} {payload_repr}"
+                )
+            self._pending_sends[seq] = (src, dst, payload, units)
+            self.messages_sent += 1
+            self.payload_sent += units
+            if sink is not None:
+                sink.amp_send(seq, src, dst, payload, units, self.now)
+                if seq in self._inline_losses:
+                    sink.amp_drop(seq, self.now, reason="loss")
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:
@@ -210,6 +220,11 @@ class ReplayRuntime(AsyncRuntime):
                 self._replay_delivery(event)
             elif event.kind == TIMER:
                 self._replay_timer(event)
+        if self._replay_send_seq < len(self._recorded_sends):
+            raise ReplayDivergence(
+                f"replay re-issued {self._replay_send_seq} sends, "
+                f"the recording has {len(self._recorded_sends)}"
+            )
         return self.result()
 
     def _replay_delivery(self, event: TraceEvent) -> None:

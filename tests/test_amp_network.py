@@ -1,21 +1,30 @@
 """Tests for the asynchronous message-passing simulator (paper §5.1)."""
 
+import importlib
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ConfigurationError, ModelViolation
+from repro.analyze.freeze import deep_freeze
+from repro.core import ConfigurationError, ModelViolation, payload_units
 from repro.amp import (
     AsyncProcess,
     AsyncRuntime,
     CrashAt,
+    DuplicatingLink,
+    FairLossLink,
     FixedDelay,
     PartialSynchronyDelay,
+    ReliableLink,
+    ReorderingLossLink,
     TargetedDelay,
     UniformDelay,
     run_processes,
 )
+from repro.explore.amp_model import AmpExplorationRuntime
+from repro.trace import MemorySink, replay, trace_hash
 
 
 class Ping(AsyncProcess):
@@ -480,3 +489,219 @@ class TestCrashes:
 
         with pytest.raises(ConfigurationError):
             run_processes([Query()])
+
+
+# ---------------------------------------------------------------------------
+# The multi-destination send primitive
+# ---------------------------------------------------------------------------
+
+
+class _PerDestinationRuntime(AsyncRuntime):
+    """The reference: the single-destination ``AsyncRuntime._send`` body
+    from before ``_send`` took a destination list, verbatim in
+    ``_send_one``, run once per destination in order."""
+
+    def _send(self, src, dsts, payload):
+        for dst in dsts:
+            self._send_one(src, dst, payload)
+
+    def _send_one(self, src: int, dst: int, payload: object) -> None:
+        if not 0 <= dst < self.n:
+            raise ModelViolation(f"process {src} sent to unknown process {dst}")
+        if src in self.crashed:
+            return  # a crashed process sends nothing
+        if self._sanitize:
+            payload = deep_freeze(payload)
+        # Units ride along in the event so delivery never re-measures.
+        units = payload_units(payload)
+        # sent/payload_sent meter *logical* sends: what the protocol paid,
+        # independent of what the wire did (loss and duplication show up in
+        # the delivered counters instead).
+        self.messages_sent += 1
+        self.payload_sent += units
+        fates = self.link_model.fates(src, dst, self.now, self._rng)
+        if not fates:
+            # Lost on the wire.  Consume an event id anyway so event-id
+            # streams (and hence replays) don't depend on the sink being
+            # attached; a lost message draws no transfer delay.
+            event_id = next(self._event_seq)
+            if self._sink is not None:
+                self._sink.amp_send(event_id, src, dst, payload, units, self.now)
+                self._sink.amp_drop(event_id, self.now, reason="loss")
+            return
+        first_id: Optional[int] = None
+        for extra in fates:
+            delay = self.delay_model.delay(src, dst, self.now, self._rng)
+            if delay <= 0:
+                raise ConfigurationError("delay model produced non-positive delay")
+            event_id = self._push(
+                self.now + delay + extra, "deliver", (src, dst, payload, units)
+            )
+            self._in_flight[src].add(event_id)
+            if self._sink is not None:
+                if first_id is None:
+                    self._sink.amp_send(event_id, src, dst, payload, units, self.now)
+                else:
+                    # A wire duplicate shares the original's send_seq.
+                    self._sink.amp_send_dup(event_id, first_id)
+            if first_id is None:
+                first_id = event_id
+
+
+class Scripted(AsyncProcess):
+    """Runs one scripted action at start and one per delivery until the
+    script is spent: ``("send", k, payload)`` sends to ``k mod n``,
+    ``("bcast", include_self, payload)`` broadcasts.  Decides on its
+    second delivery, so quiescence and decisions are both exercised."""
+
+    def __init__(self, script):
+        self.script = script
+        self.step = 0
+        self.heard = []
+
+    def _act(self, ctx):
+        if self.step < len(self.script):
+            kind, arg, payload = self.script[self.step]
+            self.step += 1
+            message = (ctx.pid, self.step, payload)
+            if kind == "send":
+                ctx.send(arg % ctx.n, message)
+            else:
+                ctx.broadcast(message, include_self=arg)
+
+    def on_start(self, ctx):
+        self._act(ctx)
+
+    def on_message(self, ctx, src, payload):
+        self.heard.append((src, payload))
+        if len(self.heard) == 2:
+            ctx.decide(tuple(self.heard))
+        self._act(ctx)
+
+
+_leaves = st.integers(-3, 3) | st.text("ab", max_size=2) | st.none()
+_payloads = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+_actions = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 4), _payloads),
+    st.tuples(st.just("bcast"), st.booleans(), _payloads),
+)
+_protocols = st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(_actions, max_size=4), min_size=n, max_size=n)
+)
+
+_LINKS = {
+    "reliable": lambda: ReliableLink(),
+    "fair-loss": lambda: FairLossLink(0.3, max_consecutive_losses=2),
+    "duplicating": lambda: DuplicatingLink(0.4),
+    "reordering-loss": lambda: ReorderingLossLink(0.2, 0.3, jitter=1.5),
+}
+
+
+class TestMultiDestinationSend:
+    """``_send(src, dsts, payload)`` measures a send call's payload once
+    and fans it out in one loop; runs must be indistinguishable from one
+    single-destination send per copy."""
+
+    @staticmethod
+    def _run(runtime_cls, scripts, link, crash, seed, sanitize):
+        sink = MemorySink()
+        result = runtime_cls(
+            [Scripted(script) for script in scripts],
+            delay_model=UniformDelay(0.1, 2.0),
+            link_model=_LINKS[link](),
+            crashes=[crash],
+            max_crashes=1,
+            seed=seed,
+            sink=sink,
+            sanitize=sanitize,
+        ).run()
+        return result, sink.events
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("link", sorted(_LINKS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scripts=_protocols,
+        data=st.data(),
+        drop=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_send_per_destination(
+        self, link, sanitize, scripts, data, drop, seed
+    ):
+        crash = CrashAt(
+            pid=data.draw(st.integers(0, len(scripts) - 1)),
+            time=data.draw(st.sampled_from([0.05, 0.5, 1.5])),
+            drop_in_flight=drop,
+        )
+        new, new_events = self._run(
+            AsyncRuntime, scripts, link, crash, seed, sanitize
+        )
+        ref, ref_events = self._run(
+            _PerDestinationRuntime, scripts, link, crash, seed, sanitize
+        )
+        assert trace_hash(new_events) == trace_hash(ref_events)
+        assert new == ref
+        for events in (new_events, ref_events):
+            replay_sink = MemorySink()
+            replayed = replay(
+                [Scripted(script) for script in scripts],
+                events,
+                seed=seed,
+                sink=replay_sink,
+            )
+            assert trace_hash(replay_sink.events) == trace_hash(events)
+            assert replayed.messages_sent == new.messages_sent
+            assert replayed.payload_sent == new.payload_sent
+
+    def test_one_payload_measure_per_send_call(self, monkeypatch):
+        """Each runtime measures a send call's payload once, however many
+        copies it fans out to; the counters still charge every copy."""
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return payload_units(payload)
+
+        # By module path: the package re-exports a ``replay`` function
+        # that shadows the ``repro.trace.replay`` submodule attribute.
+        for module in ("repro.amp.network", "repro.explore.amp_model", "repro.trace.replay"):
+            monkeypatch.setattr(importlib.import_module(module), "payload_units", counting)
+
+        class Chatty(AsyncProcess):
+            """Counts its own send and broadcast calls."""
+
+            def __init__(self):
+                self.send_calls = 0
+
+            def on_start(self, ctx):
+                ctx.broadcast(("hi", ctx.pid))
+                ctx.send((ctx.pid + 1) % ctx.n, ("one", ctx.pid))
+                ctx.broadcast(("all-but-me", ctx.pid), include_self=False)
+                self.send_calls += 3
+
+        def make():
+            return [Chatty() for _ in range(4)]
+
+        procs = make()
+        sink = MemorySink()
+        result = AsyncRuntime(procs, sink=sink, quiesce_when_decided=False).run()
+        send_calls = sum(p.send_calls for p in procs)
+        assert len(calls) == send_calls == 12
+        assert result.messages_sent == 4 * (4 + 1 + 3)
+
+        del calls[:]
+        procs = make()
+        replayed = replay(procs, sink.events)
+        assert len(calls) == sum(p.send_calls for p in procs) == 12
+        assert replayed.messages_sent == result.messages_sent
+
+        del calls[:]
+        procs = make()
+        explorer = AmpExplorationRuntime(procs)
+        explorer.start()
+        assert len(calls) == sum(p.send_calls for p in procs) == 12
+        assert explorer.messages_sent == result.messages_sent
+        assert len(explorer.pending) == result.messages_sent

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.amp.consensus.benor import make_benor
-from repro.amp.network import AsyncRuntime, CrashAt, UniformDelay
+from repro.amp.network import AsyncProcess, AsyncRuntime, CrashAt, UniformDelay
 from repro.shm.runtime import Runtime, make_registers, read, write
 from repro.shm.schedulers import CrashAfterScheduler, RandomScheduler
 from repro.trace import (
@@ -178,6 +178,58 @@ class TestAmpReplayDivergence:
         broken = events[: i + 1] + [phantom] + events[i + 1 :]
         with pytest.raises(ReplayDivergence):
             replay(make_benor(n, t, inputs), broken, seed=3)
+
+
+class Hello(AsyncProcess):
+    """p0 sends ``"hello"`` to p1 and decides; p1 decides on receipt and
+    answers ``"ack"`` only when ``reply`` is set."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def on_start(self, ctx):
+        if ctx.pid == 0:
+            ctx.send(1, "hello")
+            ctx.decide("sent")
+
+    def on_message(self, ctx, src, payload):
+        if payload == "hello":
+            ctx.decide("heard")
+            if self.reply:
+                ctx.send(0, "ack")
+
+
+class TestAmpReplaySendCounts:
+    """Regression: a send with no recorded counterpart, or a recorded
+    send never re-issued, used to replay silently with different
+    message counts."""
+
+    @staticmethod
+    def record(reply):
+        sink = MemorySink()
+        result = AsyncRuntime(
+            [Hello(reply), Hello(reply)], delay_model=UniformDelay(0.1, 1.0), sink=sink
+        ).run()
+        return result, sink.events
+
+    def test_extra_send_diverges(self):
+        recorded, events = self.record(reply=False)
+        assert recorded.messages_sent == 1
+        with pytest.raises(ReplayDivergence, match="no recorded counterpart"):
+            replay([Hello(True), Hello(True)], events)
+
+    def test_missing_send_diverges(self):
+        recorded, events = self.record(reply=True)
+        # Both decided before the ack arrived: the run stopped with it in
+        # flight, so no schedule event ever names it.
+        assert recorded.messages_sent == 2
+        assert recorded.messages_delivered == 1
+        with pytest.raises(ReplayDivergence, match="re-issued 1 sends"):
+            replay([Hello(False), Hello(False)], events)
+
+    def test_matching_protocol_replays(self):
+        recorded, events = self.record(reply=True)
+        assert replay([Hello(True), Hello(True)], events) == recorded
 
 
 class TestShmReplay:
