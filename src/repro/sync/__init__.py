@@ -2,7 +2,7 @@
 adversaries (paper §3).
 
 * :mod:`repro.sync.kernel` — lock-step round execution;
-* :mod:`repro.sync.arraykernel` — flat-column backend for n = 10⁴–10⁶;
+* :mod:`repro.sync.arraykernel` — columnar engine for n = 10⁴–10⁶;
 * :mod:`repro.sync.topology` — communication graphs;
 * :mod:`repro.sync.flatgraph` — O(n) CSR graph constructors;
 * :mod:`repro.sync.adversary` — TREE, TOUR, and friends;
@@ -48,8 +48,6 @@ from .kernel import (
     run_synchronous,
 )
 from .arraykernel import (
-    ArrayContext,
-    ArraySynchronousRunner,
     ColumnarAlgorithm,
     ColumnarRunner,
     run_columnar,
@@ -100,8 +98,6 @@ __all__ = [
     "SyncRunResult",
     "SynchronousRunner",
     "run_synchronous",
-    "ArrayContext",
-    "ArraySynchronousRunner",
     "ColumnarAlgorithm",
     "ColumnarRunner",
     "run_columnar",

@@ -18,8 +18,8 @@ feasible.
 Two implementations with identical observable behavior:
 
 * :class:`AggregateFlooding` — a per-process
-  :class:`~repro.sync.kernel.SyncAlgorithm` for the object kernel and
-  the compat array path;
+  :class:`~repro.sync.kernel.SyncAlgorithm` for
+  :class:`~repro.sync.kernel.SynchronousRunner`;
 * :class:`ColumnarAggregateFlooding` — one
   :class:`~repro.sync.arraykernel.ColumnarAlgorithm` for the true
   mega-scale path (the value column is one Python list; a round is one
@@ -28,7 +28,7 @@ Two implementations with identical observable behavior:
 Both decide the current value after ``rounds`` rounds (callers pass
 R ≥ diameter, e.g. :meth:`~repro.sync.flatgraph.FlatGraph.radius_bound`)
 and both send pid-major, so adversary RNG draws and message counters
-line up between backends.
+line up between the two runners.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _resolve_merge(op: str):
 
 
 class AggregateFlooding(SyncAlgorithm):
-    """Per-process change-propagation aggregation (object/compat path)."""
+    """Per-process change-propagation aggregation."""
 
     def __init__(self, rounds: int, op: str = "min") -> None:
         if rounds < 1:

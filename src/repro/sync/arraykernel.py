@@ -1,441 +1,51 @@
-"""Array-backed synchronous backend for mega-scale runs (n = 10⁴–10⁶).
+"""Columnar synchronous engine for mega-scale runs (n = 10⁴–10⁶).
 
-The object kernel (:mod:`repro.sync.kernel`) allocates one
-:class:`~repro.sync.kernel.Context`, one neighbor frozenset, and a
-per-round cascade of dicts per process — ideal for clarity and for the
-adversary/crash test matrix, but the per-process Python objects cap
-realistic n in the low thousands.  This module re-executes the *same*
-round structure (the paper's send → receive → compute phases, §3.1)
-against flat columns:
+The per-process runner (:class:`~repro.sync.kernel.SynchronousRunner`)
+gives every process one :class:`~repro.sync.kernel.Context`, one
+algorithm instance and its own inbox and outbox dicts, which is right
+for clarity and for the adversary/crash test matrix, but the
+per-process Python objects and calls cap realistic n in the low
+thousands.  This module runs the *same* round structure (the paper's
+send → receive → compute phases, §3.1) against flat columns:
 
 * per-process status — ``bytearray`` columns (``halted``, ``decided``,
-  ``crashed``, active mask), outputs in one list;
+  ``crashed``) and a live-process counter, outputs in one list;
 * adjacency — CSR ``(indptr, indices)`` arrays built once from a
   :class:`~repro.sync.topology.Topology` or
   :class:`~repro.sync.flatgraph.FlatGraph`;
-* messages — per-round append-only parallel buffers delivered in one
-  batched pass, instead of per-process dict-of-dicts shuffling;
+* messages — per-round parallel ``(src, dst, payload)`` buffers
+  delivered in one batched pass, instead of per-process dict-of-dicts
+  shuffling;
 * crash prefixes and adversary suppression — masks applied over the
   send buffers before delivery.
 
-Two entry points share that storage:
+One :class:`ColumnarAlgorithm` instance owns all n processes and works
+directly on the columns (``eng.broadcast(pid, msg)``,
+``eng.decide_all(values)``) through :class:`ColumnarRunner`, which
+removes the per-process call fan-out entirely.  Adversaries and crash
+schedules apply as in the per-process runner, and a crash schedule goes
+through the same validator
+(:func:`~repro.sync.kernel.index_crash_schedule`).  Equivalence with
+the per-process runner is asserted on results and counters
+(``tests/test_sync_arraykernel.py``); the trace granularity differs by
+construction.
 
-:class:`ArraySynchronousRunner` — the **compat path**.  Runs unchanged
-    :class:`~repro.sync.kernel.SyncAlgorithm` subclasses through a
-    flyweight per-call :class:`ArrayContext` façade.  It mirrors the
-    object kernel's event order *exactly* (including the frozenset
-    iteration of delivered edges and the pid-major send order), so a
-    run produces the **same trace hash**, the same counters, and the
-    same :class:`~repro.sync.kernel.SyncRunResult` — the observational
-    equivalence the test matrix pins.  Also available as
-    ``run_synchronous(..., backend="array")``.
-
-:class:`ColumnarRunner` — the **mega-scale path**.  One
-    :class:`ColumnarAlgorithm` instance owns all n processes and works
-    directly on the columns (``eng.broadcast(pid, msg)``,
-    ``eng.decide_all(values)``), eliminating the per-process call fan-out
-    entirely.  Adversaries and crash schedules still apply; equivalence
-    with the object kernel is asserted on results and counters (the
-    trace granularity differs by construction).
-
-Both paths work with a plain :class:`~repro.sync.topology.Topology` or
+The engine works with a plain :class:`~repro.sync.topology.Topology` or
 with the O(n) CSR constructors in :mod:`repro.sync.flatgraph`; stdlib
 ``array``/``bytearray`` only, no numpy required.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trace.sink import TraceSink
-
-from ..analyze.freeze import deep_freeze
 from ..core.exceptions import (
     ConfigurationError,
     ModelViolation,
     SimulationLimitExceeded,
 )
 from ..core.volume import payload_units
-from .kernel import CrashEvent, Outbox, SyncAlgorithm, SyncRunResult
-
-DirectedEdge = Tuple[int, int]
-
-
-def _index_crash_schedule(
-    crash_schedule: Sequence[CrashEvent],
-) -> Dict[int, List[CrashEvent]]:
-    """Validate a crash schedule and index it by round (kernel rules)."""
-    seen_pids = set()
-    for event in crash_schedule:
-        if event.pid in seen_pids:
-            raise ConfigurationError(f"process {event.pid} crashes twice")
-        if event.round < 1:
-            raise ConfigurationError("crash rounds start at 1")
-        seen_pids.add(event.pid)
-    by_round: Dict[int, List[CrashEvent]] = {}
-    for event in crash_schedule:
-        by_round.setdefault(event.round, []).append(event)
-    return by_round
-
-
-class ArrayContext:
-    """Flyweight per-call façade over the runner's flat columns.
-
-    One instance serves all n processes: the runner rebinds ``pid`` /
-    ``input`` before each ``on_start`` / ``on_round`` call, and every
-    attribute the object kernel's :class:`~repro.sync.kernel.Context`
-    exposes (``neighbors``, ``round``, ``output``, ``decided``,
-    ``halted``, ``decide``, ``halt``, ``broadcast``) reads or writes the
-    backing column instead of per-process storage.  Algorithms must not
-    retain the context across calls (none of the repo's do — the object
-    kernel documents the same convention for ``received`` mappings).
-    """
-
-    __slots__ = ("_runner", "pid", "input")
-
-    def __init__(self, runner: "ArraySynchronousRunner") -> None:
-        self._runner = runner
-        self.pid = 0
-        self.input: object = None
-
-    @property
-    def n(self) -> int:
-        return self._runner.n
-
-    @property
-    def round(self) -> int:
-        return self._runner._round_no
-
-    @property
-    def neighbors(self) -> FrozenSet[int]:
-        return self._runner._neighbor_set(self.pid)
-
-    @property
-    def output(self) -> object:
-        return self._runner.outputs[self.pid]
-
-    @property
-    def decided(self) -> bool:
-        return bool(self._runner._decided[self.pid])
-
-    @property
-    def halted(self) -> bool:
-        return bool(self._runner._halted[self.pid])
-
-    def decide(self, value: object) -> None:
-        """Record this process's output (may be called once)."""
-        runner = self._runner
-        if runner._decided[self.pid]:
-            raise ModelViolation(f"process {self.pid} decided twice")
-        runner._decided[self.pid] = 1
-        runner.outputs[self.pid] = value
-
-    def halt(self) -> None:
-        """Stop participating: no further sends or computation."""
-        self._runner._halted[self.pid] = 1
-
-    def broadcast(self, message: object) -> Outbox:
-        """Outbox sending ``message`` to every neighbor.
-
-        The CSR slice is already sorted, so this preserves the object
-        kernel's sorted-neighbor send order without a per-call sort.
-        """
-        runner = self._runner
-        indptr, indices = runner._indptr, runner._indices
-        pid = self.pid
-        return {
-            indices[j]: message for j in range(indptr[pid], indptr[pid + 1])
-        }
-
-
-class ArraySynchronousRunner:
-    """Flat-state executor for unchanged :class:`SyncAlgorithm` code.
-
-    Same constructor signature and :class:`SyncRunResult` as
-    :class:`~repro.sync.kernel.SynchronousRunner`; per-process state
-    lives in bytearray/array columns and all per-round containers are
-    reused.  Event order (and therefore the trace hash) is identical to
-    the object kernel's by construction: sends iterate outbox-holding
-    pids ascending, the ``sends`` mapping is filled in that order so its
-    frozenset iterates identically, and delivery/drop/crash/decide
-    emission sites mirror the object run loop one-for-one.
-    """
-
-    def __init__(
-        self,
-        topology,
-        algorithms: Sequence[SyncAlgorithm],
-        inputs: Sequence[object],
-        adversary=None,
-        crash_schedule: Sequence[CrashEvent] = (),
-        max_rounds: int = 10_000,
-        record_graphs: bool = False,
-        sink: Optional["TraceSink"] = None,
-        sanitize: bool = False,
-    ) -> None:
-        n = topology.n
-        if len(algorithms) != n or len(inputs) != n:
-            raise ConfigurationError(
-                f"need exactly {n} algorithms and inputs, got "
-                f"{len(algorithms)} / {len(inputs)}"
-            )
-        self.n = n
-        self.topology = topology
-        self._indptr, self._indices = topology.csr()
-        self.algorithms = list(algorithms)
-        self.inputs = list(inputs)
-        self.adversary = adversary
-        self.crash_by_round = _index_crash_schedule(crash_schedule)
-        self.max_rounds = max_rounds
-        self.record_graphs = record_graphs
-        self._sanitize = sanitize
-        self._sink = sink
-        if sink is not None:
-            sink.bind(n)
-        # Status columns (one byte per process) + outputs.
-        self._halted = bytearray(n)
-        self._decided = bytearray(n)
-        self._crashed_mask = bytearray(n)
-        self._active_mask = bytearray(b"\x01") * n
-        self._decide_recorded = bytearray(n)
-        self.outputs: List[object] = [None] * n
-        # Reused per-round containers: one inbox dict per process
-        # (cleared via the dirty list, never reallocated), one pending
-        # outbox slot per process, and the sends/units maps.
-        self._inboxes: List[Dict[int, object]] = [{} for _ in range(n)]
-        self._inbox_dirty: List[int] = []
-        self._outboxes: List[Optional[Outbox]] = [None] * n
-        self._sends: Dict[DirectedEdge, object] = {}
-        self._send_units: Dict[DirectedEdge, int] = {}
-        # Lazy per-pid neighbor frozensets: only built when an algorithm
-        # actually touches ctx.neighbors or sends (validation).
-        self._neighbor_sets: List[Optional[FrozenSet[int]]] = [None] * n
-        self._ctx = ArrayContext(self)
-        self._round_no = 0
-
-    # -- column accessors ---------------------------------------------------
-
-    def _neighbor_set(self, pid: int) -> FrozenSet[int]:
-        cached = self._neighbor_sets[pid]
-        if cached is None:
-            cached = frozenset(
-                self._indices[self._indptr[pid]:self._indptr[pid + 1]]
-            )
-            self._neighbor_sets[pid] = cached
-        return cached
-
-    def _finalize_outbox(self, pid: int, outbox: Outbox) -> Outbox:
-        for target in outbox:
-            if target not in self._neighbor_set(pid):
-                raise ModelViolation(
-                    f"process {pid} sent to non-neighbor {target} "
-                    f"(LOCAL model forbids this)"
-                )
-        if self._sanitize:
-            return {
-                target: deep_freeze(message)
-                for target, message in outbox.items()
-            }
-        return dict(outbox)
-
-    def _note_decides(self, pid: int, round_no: int) -> None:
-        if self._decided[pid] and not self._decide_recorded[pid]:
-            self._decide_recorded[pid] = 1
-            self._sink.sync_decide(pid, round_no, self.outputs[pid])
-
-    # -- the run loop (mirrors SynchronousRunner.run) -----------------------
-
-    def run(self) -> SyncRunResult:
-        """Run rounds until every live process halts or decides-and-halts."""
-        n = self.n
-        ctx = self._ctx
-        halted = self._halted
-        active_mask = self._active_mask
-        crashed_mask = self._crashed_mask
-        inboxes = self._inboxes
-        inbox_dirty = self._inbox_dirty
-        outboxes = self._outboxes
-        sink = self._sink
-        crashed: Set[int] = set()
-        graphs: List[FrozenSet[DirectedEdge]] = []
-        message_count = 0
-        messages_sent = 0
-        payload_sent = 0
-        payload_delivered = 0
-
-        # ``outbox_pids`` is the array analogue of the object kernel's
-        # outboxes dict: the pids holding a pending outbox, in that
-        # dict's insertion order (ascending, except a halted process
-        # whose final outbox re-enters at the end — the object dict does
-        # the same).  ``in_list`` tracks membership so re-adds don't
-        # duplicate.  ``active`` are the processes that still compute:
-        # not crashed, not halted.
-        outbox_pids: List[int] = []
-        in_list = bytearray(n)
-        active: List[int] = []
-        for pid in range(n):
-            ctx.pid = pid
-            ctx.input = self.inputs[pid]
-            produced = self.algorithms[pid].on_start(ctx) or {}
-            outboxes[pid] = self._finalize_outbox(pid, produced)
-            outbox_pids.append(pid)
-            in_list[pid] = 1
-            active.append(pid)
-            if sink is not None:
-                self._note_decides(pid, 0)
-
-        round_no = 0
-        while True:
-            round_no += 1
-            if round_no > self.max_rounds:
-                raise SimulationLimitExceeded(
-                    f"synchronous run exceeded {self.max_rounds} rounds"
-                )
-            self._round_no = round_no
-            if sink is not None:
-                sink.sync_round_begin(round_no)
-
-            # --- send phase (with mid-send crashes) -----------------------
-            crashing_now = {e.pid: e for e in self.crash_by_round.get(round_no, [])}
-            sends = self._sends
-            send_units = self._send_units
-            sends.clear()
-            send_units.clear()
-            for pid in outbox_pids:
-                outbox = outboxes[pid]
-                if outbox is None:
-                    continue
-                allowed: Optional[FrozenSet[int]] = None
-                if pid in crashing_now:
-                    allowed = crashing_now[pid].delivered_to
-                for target, message in outbox.items():
-                    if allowed is not None and target not in allowed:
-                        if sink is not None:
-                            sink.sync_drop(
-                                round_no, pid, target, reason="crash-mid-send"
-                            )
-                        continue
-                    sends[(pid, target)] = message
-                    units = payload_units(message)
-                    send_units[(pid, target)] = units
-                    payload_sent += units
-                    if sink is not None:
-                        sink.sync_send(round_no, pid, target, message, units)
-            messages_sent += len(sends)
-            if crashing_now:
-                crashed.update(crashing_now)
-                for pid in crashing_now:
-                    crashed_mask[pid] = 1
-                    active_mask[pid] = 0
-                active = [pid for pid in active if pid not in crashing_now]
-                if sink is not None:
-                    for pid in crashing_now:
-                        sink.sync_crash(pid, round_no)
-            # Final outboxes (halted last round) are now delivered; crashed
-            # processes send nothing further either.
-            retained: List[int] = []
-            for pid in outbox_pids:
-                if crashed_mask[pid] or halted[pid]:
-                    outboxes[pid] = None
-                    in_list[pid] = 0
-                else:
-                    retained.append(pid)
-            outbox_pids = retained
-
-            # --- adversary filtering (§3.3) -------------------------------
-            if self.adversary is not None:
-                states = [alg.local_state() for alg in self.algorithms]
-                delivered_edges = self.adversary.filter(
-                    round_no, frozenset(sends), states, self.topology
-                )
-                illegal = delivered_edges - frozenset(sends)
-                if illegal:
-                    raise ModelViolation(
-                        f"adversary created messages on {sorted(illegal)}"
-                    )
-            else:
-                delivered_edges = frozenset(sends)
-            message_count += len(delivered_edges)
-            for edge in delivered_edges:
-                payload_delivered += send_units[edge]
-            if self.record_graphs:
-                graphs.append(delivered_edges)
-            if sink is not None:
-                for edge in sorted(frozenset(sends) - delivered_edges):
-                    sink.sync_drop(round_no, *edge, reason="adversary")
-                for (src, dst) in sorted(delivered_edges):
-                    sink.sync_deliver(round_no, src, dst, sends[(src, dst)])
-
-            # --- receive + compute phases ----------------------------------
-            for pid in inbox_dirty:
-                inboxes[pid].clear()
-            del inbox_dirty[:]
-            for (src, dst) in delivered_edges:
-                if active_mask[dst]:
-                    box = inboxes[dst]
-                    if not box:
-                        inbox_dirty.append(dst)
-                    box[src] = sends[(src, dst)]
-
-            still_active: List[int] = []
-            for pid in active:
-                ctx.pid = pid
-                ctx.input = self.inputs[pid]
-                produced = self.algorithms[pid].on_round(ctx, inboxes[pid]) or {}
-                outbox = self._finalize_outbox(pid, produced)
-                if halted[pid]:
-                    # Keep the final outbox for one more send phase only
-                    # (an empty slot is skipped by the send loop, exactly
-                    # like the object kernel's dict pop).
-                    if outbox:
-                        outboxes[pid] = outbox
-                        if not in_list[pid]:
-                            in_list[pid] = 1
-                            outbox_pids.append(pid)
-                    else:
-                        outboxes[pid] = None
-                    active_mask[pid] = 0
-                else:
-                    outboxes[pid] = outbox
-                    if not in_list[pid]:
-                        in_list[pid] = 1
-                        outbox_pids.append(pid)
-                    still_active.append(pid)
-                if sink is not None:
-                    self._note_decides(pid, round_no)
-            active = still_active
-            if sink is not None:
-                sink.sync_round_end(round_no)
-            if not active:
-                break
-
-        return SyncRunResult(
-            outputs=list(self.outputs),
-            decided=[bool(flag) for flag in self._decided],
-            rounds=round_no,
-            halted=[bool(flag) for flag in self._halted],
-            crashed=crashed,
-            communication_graphs=graphs,
-            message_count=message_count,
-            messages_sent=messages_sent,
-            payload_sent=payload_sent,
-            payload_delivered=payload_delivered,
-        )
-
-
-# ---------------------------------------------------------------------------
-# The columnar mega-scale path
-# ---------------------------------------------------------------------------
+from .kernel import CrashEvent, DirectedEdge, SyncRunResult, index_crash_schedule
 
 
 class ColumnarAlgorithm:
@@ -525,7 +135,7 @@ class ColumnarRunner:
         self.algorithm = algorithm
         self.inputs = list(inputs)
         self.adversary = adversary
-        self.crash_by_round = _index_crash_schedule(crash_schedule)
+        self.crash_by_round = index_crash_schedule(crash_schedule, n)
         self.max_rounds = max_rounds
         self.record_graphs = record_graphs
         self._validate = validate_sends

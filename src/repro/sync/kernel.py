@@ -122,6 +122,32 @@ class CrashEvent:
     delivered_to: Optional[FrozenSet[int]] = None
 
 
+def index_crash_schedule(
+    crash_schedule: Sequence[CrashEvent], n: int
+) -> Dict[int, List[CrashEvent]]:
+    """Validate a crash schedule for ``n`` processes and index it by round.
+
+    Every pid must lie in ``range(n)``, crash at most once, and crash in
+    a round ``>= 1``; anything else raises
+    :class:`~repro.core.exceptions.ConfigurationError` before the run
+    starts.  Both synchronous runners call this.
+    """
+    seen_pids = set()
+    by_round: Dict[int, List[CrashEvent]] = {}
+    for event in crash_schedule:
+        if not 0 <= event.pid < n:
+            raise ConfigurationError(
+                f"crash pid {event.pid} out of range for n={n}"
+            )
+        if event.pid in seen_pids:
+            raise ConfigurationError(f"process {event.pid} crashes twice")
+        if event.round < 1:
+            raise ConfigurationError("crash rounds start at 1")
+        seen_pids.add(event.pid)
+        by_round.setdefault(event.round, []).append(event)
+    return by_round
+
+
 @dataclass
 class SyncRunResult:
     """Everything observable about a completed synchronous run.
@@ -169,7 +195,8 @@ class SynchronousRunner:
     adversary:
         Optional message adversary (see :mod:`repro.sync.adversary`).
     crash_schedule:
-        Optional crash events (at most one per process).
+        Optional crash events (at most one per process, pids in
+        ``range(n)``).
     max_rounds:
         Safety budget; exceeding it raises
         :class:`~repro.core.exceptions.SimulationLimitExceeded`.
@@ -210,19 +237,10 @@ class SynchronousRunner:
                 f"need exactly {n} algorithms and inputs, got "
                 f"{len(algorithms)} / {len(inputs)}"
             )
-        seen_pids = set()
-        for event in crash_schedule:
-            if event.pid in seen_pids:
-                raise ConfigurationError(f"process {event.pid} crashes twice")
-            if event.round < 1:
-                raise ConfigurationError("crash rounds start at 1")
-            seen_pids.add(event.pid)
         self.topology = topology
         self.algorithms = list(algorithms)
         self.adversary = adversary
-        self.crash_by_round: Dict[int, List[CrashEvent]] = {}
-        for event in crash_schedule:
-            self.crash_by_round.setdefault(event.round, []).append(event)
+        self.crash_by_round = index_crash_schedule(crash_schedule, n)
         self.max_rounds = max_rounds
         self.record_graphs = record_graphs
         self._sanitize = sanitize
@@ -426,25 +444,9 @@ def run_synchronous(
     topology: Topology,
     algorithms: Sequence[SyncAlgorithm],
     inputs: Sequence[object],
-    backend: str = "object",
     **kwargs,
 ) -> SyncRunResult:
-    """Convenience wrapper: build a runner and run it.
-
-    ``backend="object"`` (default) uses :class:`SynchronousRunner`;
-    ``backend="array"`` uses the flat-column
-    :class:`~repro.sync.arraykernel.ArraySynchronousRunner`, which runs
-    the same algorithms observationally equivalently (same results,
-    counters, and trace hashes) with flat per-process state.
-    """
-    if backend == "array":
-        from .arraykernel import ArraySynchronousRunner
-
-        return ArraySynchronousRunner(topology, algorithms, inputs, **kwargs).run()
-    if backend != "object":
-        raise ConfigurationError(
-            f"unknown sync backend {backend!r} (expected 'object' or 'array')"
-        )
+    """Convenience wrapper: build a :class:`SynchronousRunner` and run it."""
     return SynchronousRunner(topology, algorithms, inputs, **kwargs).run()
 
 

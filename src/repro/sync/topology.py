@@ -93,7 +93,7 @@ class Topology:
         """The adjacency in CSR form: ``(indptr, indices)`` arrays.
 
         Vertex ``u``'s neighbors are ``indices[indptr[u]:indptr[u+1]]``,
-        sorted ascending.  This is the layout the array backend
+        sorted ascending.  This is the layout the columnar engine
         (:mod:`repro.sync.arraykernel`) executes against.  Memoized
         until the graph mutates (same policy as the distance/diameter
         caches); callers must treat the arrays as read-only.

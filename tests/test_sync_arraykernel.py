@@ -1,4 +1,5 @@
-"""Unit tests for the flat-column backend (compat runner + columnar)."""
+"""Unit tests for the columnar engine, and its parity with the
+per-process runner."""
 
 import pytest
 
@@ -8,16 +9,18 @@ from repro.core.exceptions import (
     SimulationLimitExceeded,
 )
 from repro.sync import run_synchronous
+from repro.sync.adversary import BoundedDropAdversary
 from repro.sync.arraykernel import (
-    ArraySynchronousRunner,
     ColumnarAlgorithm,
     ColumnarRunner,
     run_columnar,
 )
-from repro.sync.algorithms import ColumnarAggregateFlooding, make_flooders
-from repro.sync.flatgraph import flat_ring, flat_torus
+from repro.sync.algorithms import (
+    ColumnarAggregateFlooding,
+    make_aggregate_flooders,
+)
+from repro.sync.flatgraph import flat_random_regular, flat_ring, flat_torus
 from repro.sync.kernel import CrashEvent
-from repro.sync.topology import ring
 
 
 class Chatterbox(ColumnarAlgorithm):
@@ -83,6 +86,16 @@ class TestColumnarValidation:
                     CrashEvent(pid=1, round=1),
                     CrashEvent(pid=1, round=2),
                 ),
+            )
+
+    @pytest.mark.parametrize("pid", [-1, 6])
+    def test_crash_pid_out_of_range(self, pid):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            ColumnarRunner(
+                flat_ring(6),
+                Chatterbox(),
+                [None] * 6,
+                crash_schedule=(CrashEvent(pid=pid, round=1),),
             )
 
     def test_crash_round_must_be_positive(self):
@@ -174,24 +187,59 @@ class TestColumnarSemantics:
         assert result.messages_sent < full / 4
 
 
-class TestArrayRunnerUnit:
-    def test_algorithm_count_must_match(self):
-        with pytest.raises(ConfigurationError):
-            ArraySynchronousRunner(ring(6), make_flooders(5), [0] * 6)
+GRAPHS = {
+    "ring": lambda: flat_ring(12),
+    "torus": lambda: flat_torus(3, 4),
+    "random-regular": lambda: flat_random_regular(10, 3, seed=2),
+}
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_synchronous(
-                ring(6), make_flooders(6), [0] * 6, backend="vector"
-            )
+FAULTS = {
+    "clean": (None, ()),
+    "adversary": (lambda: BoundedDropAdversary(2, seed=3), ()),
+    "crash": (None, (CrashEvent(pid=1, round=2, delivered_to=frozenset({0})),)),
+}
 
-    def test_array_backend_accepts_flatgraph_topology(self):
-        topo = flat_ring(8).to_topology()
-        result = run_synchronous(
-            topo,
-            make_flooders(8, rounds=4),
-            list(range(8)),
-            backend="array",
+
+class TestColumnarMatchesPerProcessRunner:
+    """``ColumnarAggregateFlooding`` on the columnar engine and
+    ``AggregateFlooding`` on the per-process runner agree on every
+    result field and counter.  Trace hashes are not compared: under a
+    crash the two engines emit the same run at different granularity."""
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    @pytest.mark.parametrize("fault_name", sorted(FAULTS))
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    def test_aggregate_flooding(self, graph_name, fault_name, op):
+        graph = GRAPHS[graph_name]()
+        n = graph.n
+        rounds = graph.radius_bound()
+        inputs = [(7 * i + 3) % 29 for i in range(n)]
+        mkadv, crashes = FAULTS[fault_name]
+
+        def faults():
+            return {
+                "adversary": mkadv() if mkadv else None,
+                "crash_schedule": crashes,
+            }
+
+        columnar = run_columnar(
+            graph, ColumnarAggregateFlooding(rounds, op), inputs, **faults()
         )
-        assert result.rounds == 4
-        assert all(out == tuple(range(8)) for out in result.outputs)
+        per_process = run_synchronous(
+            graph.to_topology(),
+            make_aggregate_flooders(n, rounds, op),
+            inputs,
+            **faults(),
+        )
+        for name in (
+            "outputs",
+            "decided",
+            "rounds",
+            "halted",
+            "crashed",
+            "messages_sent",
+            "message_count",
+            "payload_sent",
+            "payload_delivered",
+        ):
+            assert getattr(columnar, name) == getattr(per_process, name), name

@@ -162,6 +162,16 @@ class TestCrashes:
                 crash_schedule=[CrashEvent(pid=0, round=0)],
             )
 
+    @pytest.mark.parametrize("pid", [-1, 3])
+    def test_crash_pid_out_of_range_rejected(self, pid):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            SynchronousRunner(
+                ring(3),
+                [Silent()] * 3,
+                [0] * 3,
+                crash_schedule=[CrashEvent(pid=pid, round=1)],
+            )
+
     def test_double_crash_rejected(self):
         with pytest.raises(ConfigurationError):
             SynchronousRunner(

@@ -25,13 +25,12 @@ from repro.trace import (
 from repro.sync.topology import ring
 
 
-def run_traced(sink, backend="object"):
+def run_traced(sink):
     n = 10
     return run_synchronous(
         ring(n),
         make_flooders(n, rounds=6),
         [10 + i for i in range(n)],
-        backend=backend,
         adversary=BoundedDropAdversary(max_drops=2, seed=3),
         crash_schedule=(CrashEvent(pid=1, round=2, delivered_to=frozenset({0})),),
         sink=sink,
@@ -39,11 +38,10 @@ def run_traced(sink, backend="object"):
 
 
 class TestCounterParity:
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_matches_memory_sink(self, backend):
+    def test_matches_memory_sink(self):
         mem, agg = MemorySink(), AggregateSink()
-        run_traced(mem, backend)
-        run_traced(agg, backend)
+        run_traced(mem)
+        run_traced(agg)
         kinds = [e.kind for e in mem.events]
         assert agg.sends == kinds.count(SEND)
         assert agg.delivers == kinds.count(DELIVER)
@@ -55,7 +53,7 @@ class TestCounterParity:
 
     def test_payload_matches_result(self):
         agg = AggregateSink()
-        result = run_traced(agg, "array")
+        result = run_traced(agg)
         assert agg.payload_sent == result.payload_sent
 
     def test_no_events_kept_in_aggregate_mode(self):
