@@ -47,17 +47,17 @@ class _NoSanitizeRuntime(AsyncRuntime):
         if src in self.crashed:
             return
         units = payload_units(payload)
+        copies = len(dsts)
+        self.messages_sent += copies
+        self.payload_sent += units * copies
         now = self.now
         rng = self._rng
         link_model = self.link_model
         delay_model = self.delay_model
         queue = self._queue
         event_seq = self._event_seq
-        in_flight = self._in_flight[src]
         sink = self._sink
         for dst in dsts:
-            self.messages_sent += 1
-            self.payload_sent += units
             fates = link_model.fates(src, dst, now, rng)
             if not fates:
                 event_id = next(event_seq)
@@ -73,7 +73,6 @@ class _NoSanitizeRuntime(AsyncRuntime):
                     raise ConfigurationError("delay model produced non-positive delay")
                 event_id = next(event_seq)
                 heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
-                in_flight.add(event_id)
                 if sink is not None:
                     if first_id is None:
                         sink.amp_send(event_id, src, dst, payload, units, now)

@@ -4,13 +4,16 @@ plus the synchronous kernel's per-round allocation churn.
 The seed AMP kernel tracked in-flight messages in per-sender *lists*:
 every delivery did ``event_id in list`` + ``list.remove`` — O(m) each,
 O(m²) per run once a sender has a large burst outstanding.  The current
-kernel uses per-sender sets with lazy cancellation (O(1) per delivery).
+kernel keeps no per-message index at all: a crash finds the crashing
+sender's undelivered copies with one pass over the event heap and
+cancels them lazily, so a send or a delivery pays nothing for it.
 
-``_LegacyRuntime`` below reinstates the pre-PR list bookkeeping verbatim
-so the before/after is measured head-to-head on the same machine, same
-workload, same event timeline.  Both runtimes must agree on every
-observable (sent / delivered / final time) — the optimization is
-semantics-preserving — and the set kernel must win by ≥ 5×.
+``_LegacyRuntime`` below reinstates the seed's list bookkeeping verbatim,
+on the kernel's current event format, so the before/after is measured
+head-to-head on the same machine, same workload, same event timeline.
+Both runtimes must agree on every observable (sent / delivered / final
+time) — the optimization is semantics-preserving — and the current
+kernel must win by ≥ 5×.
 
 The synchronous kernel had its own churn: every round allocated ``n``
 fresh inbox dicts, two fresh send maps, and one closure per active
@@ -44,13 +47,17 @@ class _LegacyRuntime(AsyncRuntime):
 
         if src in self.crashed:
             return
+        units = payload_units(payload)
         for dst in dsts:
             delay = self.delay_model.delay(src, dst, self.now, self._rng)
             if delay <= 0:
                 raise ConfigurationError("delay model produced non-positive delay")
-            event_id = self._push(self.now + delay, "deliver", (src, dst, payload))
+            event_id = self._push(
+                self.now + delay, "deliver", (src, dst, payload, units)
+            )
             self._in_flight[src].append(event_id)
             self.messages_sent += 1
+            self.payload_sent += units
 
     def _handle_crash(self, pid, drop_fraction):
         from repro.core.exceptions import ModelViolation
@@ -65,12 +72,13 @@ class _LegacyRuntime(AsyncRuntime):
         for event_id in list(reversed(pending))[:drop_count]:
             self._cancelled.add(event_id)
 
-    def _handle_delivery(self, event_id, src, dst, payload):
+    def _handle_delivery(self, event_id, src, dst, payload, units):
         if event_id in self._in_flight[src]:
             self._in_flight[src].remove(event_id)
         if dst in self.crashed or self.contexts[dst].halted:
             return
         self.messages_delivered += 1
+        self.payload_delivered += units
         self.processes[dst].on_message(self.contexts[dst], src, payload)
 
 
@@ -299,7 +307,7 @@ def test_hotpath_speedup(benchmark):
             "A1: AMP kernel hot path, n=32 / ~50k messages (wall-clock s)",
             [
                 ("list in-flight (seed)", round(legacy_time, 3), "-"),
-                ("set in-flight (current)", round(new_time, 3), f"{speedup:.1f}x"),
+                ("heap scan at crash (current)", round(new_time, 3), f"{speedup:.1f}x"),
             ],
             ["kernel", "seconds", "speedup"],
         )
@@ -348,7 +356,7 @@ def main(argv=None):
     legacy_time, new_time, observables, result = compare(n, messages)
     print(
         f"n={n} messages={result.messages_sent} delivered={result.messages_delivered}\n"
-        f"legacy(list) {legacy_time:.3f}s   current(set) {new_time:.3f}s   "
+        f"legacy(list) {legacy_time:.3f}s   current(scan) {new_time:.3f}s   "
         f"speedup {legacy_time / new_time:.1f}x"
     )
     if not observables:

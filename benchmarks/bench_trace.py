@@ -49,16 +49,16 @@ class _NoHookRuntime(AsyncRuntime):
         if self._sanitize:
             payload = deep_freeze(payload)
         units = payload_units(payload)
+        copies = len(dsts)
+        self.messages_sent += copies
+        self.payload_sent += units * copies
         now = self.now
         rng = self._rng
         link_model = self.link_model
         delay_model = self.delay_model
         queue = self._queue
         event_seq = self._event_seq
-        in_flight = self._in_flight[src]
         for dst in dsts:
-            self.messages_sent += 1
-            self.payload_sent += units
             fates = link_model.fates(src, dst, now, rng)
             if not fates:
                 next(event_seq)
@@ -70,12 +70,11 @@ class _NoHookRuntime(AsyncRuntime):
                     raise ConfigurationError("delay model produced non-positive delay")
                 event_id = next(event_seq)
                 heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
-                in_flight.add(event_id)
 
     def _set_timer(self, pid, delay, name):
         if delay < 0:
             raise ConfigurationError("timer delay must be >= 0")
-        self._push(self.now + delay, "timer", (pid, name))
+        self._push(self.now + delay, "timer", (pid, name, self._epoch[pid]))
 
     def _note_decision(self, pid, value):
         self.decision_times[pid] = self.now
@@ -86,20 +85,27 @@ class _NoHookRuntime(AsyncRuntime):
         if self.max_crashes is not None and len(self.crashed) >= self.max_crashes:
             raise ModelViolation(f"crash budget t={self.max_crashes} exhausted")
         self.crashed.add(pid)
-        pending = self._in_flight[pid]
+        self._epoch[pid] += 1
+        if not drop_fraction:
+            return
+        cancelled = self._cancelled
+        pending = [
+            event_id
+            for _time, event_id, kind, data in self._queue
+            if kind == "deliver" and data[0] == pid and event_id not in cancelled
+        ]
         drop_count = int(round(drop_fraction * len(pending)))
         if drop_count:
             for event_id in heapq.nlargest(drop_count, pending):
-                pending.discard(event_id)
-                self._cancelled.add(event_id)
+                cancelled.add(event_id)
 
     def _handle_delivery(self, event_id, src, dst, payload, units=1):
-        self._in_flight[src].discard(event_id)
-        if dst in self.crashed or self.contexts[dst].halted:
+        ctx = self.contexts[dst]
+        if dst in self.crashed or ctx.halted:
             return
         self.messages_delivered += 1
         self.payload_delivered += units
-        self.processes[dst].on_message(self.contexts[dst], src, payload)
+        self.processes[dst].on_message(ctx, src, payload)
 
     def run(self, until=None):
         if not self._started:
@@ -111,34 +117,55 @@ class _NoHookRuntime(AsyncRuntime):
             for pid in range(self.n):
                 if pid not in self.crashed:
                     self.processes[pid].on_start(self.contexts[pid])
+        handle_delivery = self._handle_delivery
+        queue = self._queue
+        cancelled = self._cancelled
+        heappop = heapq.heappop
+        quiesce = self.quiesce_when_decided
+        max_events = self.max_events
+        crashed = self.crashed
+        contexts = self.contexts
+        processes = self.processes
+        epochs = self._epoch
+        now = self.now
         events = 0
-        while self._queue:
-            if self.quiesce_when_decided and self._all_settled():
+        quiescent = True
+        while queue:
+            if quiesce and self._all_settled():
                 break
-            time_, event_id, kind, data = self._queue[0]
+            time_, event_id, kind, data = queue[0]
             if until is not None and time_ > until:
                 self.now = until
+                quiescent = False
                 break
             events += 1
-            if events > self.max_events:
+            if events > max_events:
                 if self.strict_budget:
                     raise SimulationLimitExceeded(
                         f"run exceeded {self.max_events} events"
                     )
+                quiescent = False
                 break
-            heapq.heappop(self._queue)
-            if event_id in self._cancelled:
-                self._cancelled.discard(event_id)
+            heappop(queue)
+            if event_id in cancelled:
+                cancelled.discard(event_id)
                 continue
-            self.now = max(self.now, time_)
-            if kind == "crash":
-                self._handle_crash(*data)
-            elif kind == "deliver":
-                self._handle_delivery(event_id, *data)
+            if time_ > now:
+                self.now = now = time_
+            if kind == "deliver":
+                src, dst, payload, units = data
+                handle_delivery(event_id, src, dst, payload, units)
             elif kind == "timer":
-                pid, name = data
-                if pid not in self.crashed and not self.contexts[pid].halted:
-                    self.processes[pid].on_timer(self.contexts[pid], name)
+                pid, name, epoch = data
+                if pid in crashed or contexts[pid].halted or epoch != epochs[pid]:
+                    continue
+                processes[pid].on_timer(contexts[pid], name)
+            elif kind == "crash":
+                self._handle_crash(*data)
+            elif kind == "recover":
+                self._handle_recover(*data)
+        if quiescent and until is not None and until > self.now:
+            self.now = until
         return self.result()
 
 

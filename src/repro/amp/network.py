@@ -100,7 +100,9 @@ class UniformDelay(DelayModel):
         self.high = high
 
     def delay(self, src, dst, send_time, rng):
-        return rng.uniform(self.low, self.high)
+        # The body of ``rng.uniform(low, high)``, inlined: the same draw
+        # and the same float, one frame fewer per copy sent.
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class PartialSynchronyDelay(DelayModel):
@@ -138,6 +140,11 @@ class TargetedDelay(DelayModel):
         base: DelayModel,
         overrides: Mapping[Tuple[int, int], float],
     ) -> None:
+        for link, delay in overrides.items():
+            if not delay > 0:
+                raise ConfigurationError(
+                    f"delay override for link {link} must be > 0, got {delay}"
+                )
         self.base = base
         self.overrides = dict(overrides)
 
@@ -540,10 +547,8 @@ class AsyncRuntime:
         self.payload_sent = 0
         self.payload_delivered = 0
         self.decision_times: Dict[int, float] = {}
-        #: event ids of undelivered messages per sender (for crash drops);
-        #: ids are monotonically increasing, so max = newest send.  With a
-        #: duplicating link every physical copy has its own id here.
-        self._in_flight: Dict[int, Set[int]] = {pid: set() for pid in range(self.n)}
+        #: event ids of queued entries the loop must skip (crash drops);
+        #: an id leaves the set when its entry is popped.
         self._cancelled: Set[int] = set()
 
         # Volatile-state snapshots for pids that may recover: recovery
@@ -629,9 +634,10 @@ class AsyncRuntime:
 
         The one send primitive (``Context.send`` passes ``(dst,)``,
         ``Context.broadcast`` its whole fan-out): the crashed-sender
-        check, the sanitizer's freeze and the payload measure run once
-        per call; each copy then draws its fates and delays, takes its
-        event ids and is charged, exactly as a single send would be.
+        check, the sanitizer's freeze, the payload measure and the
+        counters' charge for every copy run once per call; each copy then
+        draws its fates and delays and takes its event ids, exactly as a
+        single send would.
         """
         if src in self.crashed:
             return  # a crashed process sends nothing
@@ -639,20 +645,20 @@ class AsyncRuntime:
             payload = deep_freeze(payload)
         # Units ride along in the event so delivery never re-measures.
         units = payload_units(payload)
+        # sent/payload_sent meter *logical* sends: what the protocol paid,
+        # independent of what the wire did (loss and duplication show up
+        # in the delivered counters instead).
+        copies = len(dsts)
+        self.messages_sent += copies
+        self.payload_sent += units * copies
         now = self.now
         rng = self._rng
         link_model = self.link_model
         delay_model = self.delay_model
         queue = self._queue
         event_seq = self._event_seq
-        in_flight = self._in_flight[src]
         sink = self._sink
         for dst in dsts:
-            # sent/payload_sent meter *logical* sends: what the protocol
-            # paid, independent of what the wire did (loss and duplication
-            # show up in the delivered counters instead).
-            self.messages_sent += 1
-            self.payload_sent += units
             fates = link_model.fates(src, dst, now, rng)
             if not fates:
                 # Lost on the wire.  Consume an event id anyway so event-id
@@ -671,7 +677,6 @@ class AsyncRuntime:
                     raise ConfigurationError("delay model produced non-positive delay")
                 event_id = next(event_seq)
                 heapq.heappush(queue, (now + delay + extra, event_id, "deliver", data))
-                in_flight.add(event_id)
                 if sink is not None:
                     if first_id is None:
                         sink.amp_send(event_id, src, dst, payload, units, now)
@@ -736,12 +741,26 @@ class AsyncRuntime:
             for pid in range(self.n):
                 if pid not in self.crashed:
                     self.processes[pid].on_start(self.contexts[pid])
+        # Bound after attach(): a heartbeat detector wraps this instance's
+        # _handle_delivery there, and every delivery must go through it.
+        handle_delivery = self._handle_delivery
+        queue = self._queue
+        cancelled = self._cancelled
+        heappop = heapq.heappop
+        quiesce = self.quiesce_when_decided
+        max_events = self.max_events
+        crashed = self.crashed
+        contexts = self.contexts
+        processes = self.processes
+        epochs = self._epoch
+        sink = self._sink
+        now = self.now  # only this loop advances the clock while it runs
         events = 0
         quiescent = True  # ran out of events (vs. deferred or truncated)
-        while self._queue:
-            if self.quiesce_when_decided and self._all_settled():
+        while queue:
+            if quiesce and self._all_settled():
                 break
-            time, event_id, kind, data = self._queue[0]
+            time, event_id, kind, data = queue[0]
             if until is not None and time > until:
                 # Leave the event for a later run() call; a deferred event
                 # is not processed, so it must not be charged to the budget.
@@ -749,38 +768,40 @@ class AsyncRuntime:
                 quiescent = False
                 break
             events += 1
-            if events > self.max_events:
+            if events > max_events:
                 if self.strict_budget:
                     raise SimulationLimitExceeded(
                         f"run exceeded {self.max_events} events"
                     )
                 quiescent = False
                 break
-            heapq.heappop(self._queue)
-            if event_id in self._cancelled:
-                self._cancelled.discard(event_id)
+            heappop(queue)
+            if event_id in cancelled:
+                cancelled.discard(event_id)
                 continue
-            self.now = max(self.now, time)
-            if kind == "crash":
+            if time > now:
+                self.now = now = time
+            if kind == "deliver":
+                src, dst, payload, units = data
+                handle_delivery(event_id, src, dst, payload, units)
+            elif kind == "timer":
+                pid, name, epoch = data
+                if pid in crashed or contexts[pid].halted:
+                    if sink is not None:
+                        sink.amp_drop_timer(event_id, now, reason="dead-dst")
+                elif epoch != epochs[pid]:
+                    # Set by a previous incarnation: volatile, so it died
+                    # with the crash even though the process is back up.
+                    if sink is not None:
+                        sink.amp_drop_timer(event_id, now, reason="stale")
+                else:
+                    if sink is not None:
+                        sink.amp_timer(event_id, pid, name, now)
+                    processes[pid].on_timer(contexts[pid], name)
+            elif kind == "crash":
                 self._handle_crash(*data)
             elif kind == "recover":
                 self._handle_recover(*data)
-            elif kind == "deliver":
-                self._handle_delivery(event_id, *data)
-            elif kind == "timer":
-                pid, name, epoch = data
-                if pid in self.crashed or self.contexts[pid].halted:
-                    if self._sink is not None:
-                        self._sink.amp_drop_timer(event_id, self.now, reason="dead-dst")
-                elif epoch != self._epoch[pid]:
-                    # Set by a previous incarnation: volatile, so it died
-                    # with the crash even though the process is back up.
-                    if self._sink is not None:
-                        self._sink.amp_drop_timer(event_id, self.now, reason="stale")
-                else:
-                    if self._sink is not None:
-                        self._sink.amp_timer(event_id, pid, name, self.now)
-                    self.processes[pid].on_timer(self.contexts[pid], name)
         if quiescent and until is not None and until > self.now:
             # The queue drained (or everyone settled) before the deadline:
             # virtual time still advances to it, so ctx.time in a later
@@ -797,17 +818,26 @@ class AsyncRuntime:
         self._epoch[pid] += 1
         if self._sink is not None:
             self._sink.amp_crash(pid, self.now)
-        pending = self._in_flight[pid]
+        if not drop_fraction:
+            return
+        # The process's undelivered copies are its deliver entries still
+        # in the heap and not yet cancelled (an earlier incarnation's
+        # copies included).  Finding them costs one pass over the heap
+        # per crash and nothing per message sent or delivered.
+        cancelled = self._cancelled
+        pending = [
+            event_id
+            for _time, event_id, kind, data in self._queue
+            if kind == "deliver" and data[0] == pid and event_id not in cancelled
+        ]
         drop_count = int(round(drop_fraction * len(pending)))
         # Newest sends are dropped first: the crash interrupted the tail
         # of the process's final broadcast.  Event ids increase with send
         # order, so the largest ids are the newest sends; cancellation is
-        # lazy (the run loop skips cancelled deliveries), keeping this
-        # O(pending · log dropped) at the crash and O(1) per skip.
+        # lazy (the run loop skips cancelled deliveries when it pops them).
         if drop_count:
             for event_id in heapq.nlargest(drop_count, pending):
-                pending.discard(event_id)
-                self._cancelled.add(event_id)
+                cancelled.add(event_id)
                 if self._sink is not None:
                     self._sink.amp_drop(event_id, self.now, reason="crash")
 
@@ -834,8 +864,8 @@ class AsyncRuntime:
     def _handle_delivery(
         self, event_id: int, src: int, dst: int, payload: object, units: int = 1
     ) -> None:
-        self._in_flight[src].discard(event_id)
-        if dst in self.crashed or self.contexts[dst].halted:
+        ctx = self.contexts[dst]
+        if dst in self.crashed or ctx.halted:
             if self._sink is not None:
                 self._sink.amp_drop(event_id, self.now, reason="dead-dst")
             return
@@ -843,7 +873,7 @@ class AsyncRuntime:
         self.payload_delivered += units
         if self._sink is not None:
             self._sink.amp_deliver(event_id, src, dst, payload, self.now)
-        self.processes[dst].on_message(self.contexts[dst], src, payload)
+        self.processes[dst].on_message(ctx, src, payload)
 
     def result(self) -> AmpRunResult:
         return AmpRunResult(

@@ -1,11 +1,12 @@
 """Tests for the asynchronous message-passing simulator (paper §5.1)."""
 
+import heapq
 import importlib
 import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analyze.freeze import deep_freeze
 from repro.core import ConfigurationError, ModelViolation, payload_units
@@ -17,6 +18,7 @@ from repro.amp import (
     FairLossLink,
     FixedDelay,
     PartialSynchronyDelay,
+    RecoverAt,
     ReliableLink,
     ReorderingLossLink,
     TargetedDelay,
@@ -293,6 +295,20 @@ class TestDelayModels:
         with pytest.raises(ConfigurationError):
             UniformDelay(2.0, 1.0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        low=st.floats(min_value=1e-3, max_value=10.0),
+        span=st.floats(min_value=0.0, max_value=10.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_uniform_draws_match_random_uniform(self, low, span, seed):
+        """The delay is exactly what ``rng.uniform(low, high)`` returns,
+        draw for draw, so seeded runs keep their event timelines."""
+        model = UniformDelay(low, low + span)
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert model.delay(0, 1, 0.0, ours) == ref.uniform(low, low + span)
+
     def test_partial_synchrony_bounded_after_gst(self):
         import random
 
@@ -316,6 +332,13 @@ class TestDelayModels:
         rng = random.Random(0)
         assert model.delay(0, 1, 0.0, rng) == 9.0
         assert model.delay(1, 0, 0.0, rng) == 1.0
+
+    def test_targeted_override_must_be_positive(self):
+        """A non-positive override is rejected when the model is built,
+        not at the first send on that link."""
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                TargetedDelay(FixedDelay(1.0), {(1, 0): 2.0, (0, 1): bad})
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -537,7 +560,6 @@ class _PerDestinationRuntime(AsyncRuntime):
             event_id = self._push(
                 self.now + delay + extra, "deliver", (src, dst, payload, units)
             )
-            self._in_flight[src].add(event_id)
             if self._sink is not None:
                 if first_id is None:
                     self._sink.amp_send(event_id, src, dst, payload, units, self.now)
@@ -549,10 +571,11 @@ class _PerDestinationRuntime(AsyncRuntime):
 
 
 class Scripted(AsyncProcess):
-    """Runs one scripted action at start and one per delivery until the
-    script is spent: ``("send", k, payload)`` sends to ``k mod n``,
-    ``("bcast", include_self, payload)`` broadcasts.  Decides on its
-    second delivery, so quiescence and decisions are both exercised."""
+    """Runs one scripted action at start and one per delivery or timer
+    until the script is spent: ``("send", k, payload)`` sends to
+    ``k mod n``, ``("bcast", include_self, payload)`` broadcasts,
+    ``("timer", delay, payload)`` sets a timer.  Decides on its second
+    delivery, so quiescence and decisions are both exercised."""
 
     def __init__(self, script):
         self.script = script
@@ -566,16 +589,22 @@ class Scripted(AsyncProcess):
             message = (ctx.pid, self.step, payload)
             if kind == "send":
                 ctx.send(arg % ctx.n, message)
-            else:
+            elif kind == "bcast":
                 ctx.broadcast(message, include_self=arg)
+            else:
+                ctx.set_timer(arg, message)
 
     def on_start(self, ctx):
         self._act(ctx)
 
     def on_message(self, ctx, src, payload):
         self.heard.append((src, payload))
-        if len(self.heard) == 2:
+        # A recovered process hears afresh, but its decision stands.
+        if len(self.heard) == 2 and not ctx.decided:
             ctx.decide(tuple(self.heard))
+        self._act(ctx)
+
+    def on_timer(self, ctx, name):
         self._act(ctx)
 
 
@@ -705,3 +734,137 @@ class TestMultiDestinationSend:
         assert len(calls) == sum(p.send_calls for p in procs) == 12
         assert explorer.messages_sent == result.messages_sent
         assert len(explorer.pending) == result.messages_sent
+
+
+# ---------------------------------------------------------------------------
+# Crash drops: the heap scan against the per-sender index
+# ---------------------------------------------------------------------------
+
+
+class _PerSenderIndexRuntime(_PerDestinationRuntime):
+    """The crash-path reference: the per-sender index of undelivered
+    copies that ``AsyncRuntime`` kept before its crash handler scanned
+    the heap.  Each copy's event id is added when the send queues it,
+    discarded when it is delivered, and read by ``_handle_crash``, whose
+    body is the old one verbatim."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: event ids of undelivered messages per sender (for crash drops);
+        #: ids are monotonically increasing, so max = newest send.  With a
+        #: duplicating link every physical copy has its own id here.
+        self._in_flight = {pid: set() for pid in range(self.n)}
+
+    def _push(self, time, kind, data):
+        event_id = super()._push(time, kind, data)
+        if kind == "deliver":
+            self._in_flight[data[0]].add(event_id)
+        return event_id
+
+    def _handle_delivery(self, event_id, src, dst, payload, units=1):
+        self._in_flight[src].discard(event_id)
+        super()._handle_delivery(event_id, src, dst, payload, units)
+
+    def _handle_crash(self, pid, drop_fraction):
+        if pid in self.crashed:
+            return
+        if self.max_crashes is not None and len(self.crashed) >= self.max_crashes:
+            raise ModelViolation(f"crash budget t={self.max_crashes} exhausted")
+        self.crashed.add(pid)
+        self._epoch[pid] += 1
+        if self._sink is not None:
+            self._sink.amp_crash(pid, self.now)
+        pending = self._in_flight[pid]
+        drop_count = int(round(drop_fraction * len(pending)))
+        if drop_count:
+            for event_id in heapq.nlargest(drop_count, pending):
+                pending.discard(event_id)
+                self._cancelled.add(event_id)
+                if self._sink is not None:
+                    self._sink.amp_drop(event_id, self.now, reason="crash")
+
+
+_timed_protocols = st.integers(2, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            _actions
+            | st.tuples(st.just("timer"), st.sampled_from([0.0, 0.3, 1.0]), _payloads),
+            max_size=4,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+_drops = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _crash_cases(draw):
+    """Protocols with timers, a crash schedule and the ``run(until=...)``
+    split points.  One or two pids crash; each may recover and crash
+    again soon after, while its first incarnation's copies are still
+    queued."""
+    scripts = draw(_timed_protocols)
+    crashes = []
+    victims = st.lists(
+        st.integers(0, len(scripts) - 1), min_size=1, max_size=2, unique=True
+    )
+    for pid in draw(victims):
+        time = draw(st.sampled_from([0.05, 0.5, 1.5]))
+        crashes.append(CrashAt(pid, time, draw(_drops)))
+        if draw(st.booleans()):
+            time += draw(st.sampled_from([0.1, 0.4]))
+            crashes.append(RecoverAt(pid, time))
+            time += draw(st.sampled_from([0.1, 0.4]))
+            crashes.append(CrashAt(pid, time, draw(_drops)))
+    splits = st.lists(st.sampled_from([0.3, 0.7, 1.2, 2.0]), max_size=2, unique=True)
+    return scripts, crashes, sorted(draw(splits))
+
+
+class TestCrashDropsMatchPerSenderIndex:
+    """``_handle_crash`` finds a crashing sender's undelivered copies with
+    one pass over the heap; runs must be indistinguishable from the
+    kernel that indexed them per sender on every send and delivery."""
+
+    @staticmethod
+    def _run(runtime_cls, link, case, quiesce, seed):
+        scripts, crashes, splits = case
+        sink = MemorySink()
+        runtime = runtime_cls(
+            [Scripted(script) for script in scripts],
+            delay_model=UniformDelay(0.2, 3.0),
+            link_model=_LINKS[link](),
+            crashes=crashes,
+            seed=seed,
+            sink=sink,
+            quiesce_when_decided=quiesce,
+        )
+        results = [runtime.run(until=until) for until in splits]
+        results.append(runtime.run())
+        return results, sink.events
+
+    @pytest.mark.parametrize("link", sorted(_LINKS))
+    @settings(max_examples=100, deadline=None)
+    @given(case=_crash_cases(), quiesce=st.booleans(), seed=st.integers(0, 2**16))
+    # Always tried: p0 broadcasts, its crash drops the newest copies, and
+    # it crashes again while those are still queued; p1 crashes with only
+    # a timer pending.
+    @example(
+        case=(
+            [[("bcast", False, "x")], [("timer", 1.0, "t")], [], []],
+            [
+                CrashAt(0, 0.05, 0.5),
+                RecoverAt(0, 0.15),
+                CrashAt(0, 0.25, 1.0),
+                CrashAt(1, 0.05, 1.0),
+            ],
+            [0.7],
+        ),
+        quiesce=False,
+        seed=0,
+    )
+    def test_matches_per_sender_index(self, link, case, quiesce, seed):
+        new, new_events = self._run(AsyncRuntime, link, case, quiesce, seed)
+        ref, ref_events = self._run(_PerSenderIndexRuntime, link, case, quiesce, seed)
+        assert trace_hash(new_events) == trace_hash(ref_events)
+        assert new == ref
