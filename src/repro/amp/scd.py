@@ -38,7 +38,12 @@ Implementation (the IMPR message pattern, ``t < n/2``):
   included ``m`` before ``m'``.  Two majorities intersect, so two
   processes can never establish opposite strict orders — MS-Ordering
   holds on every link model and schedule (the explorer checks this
-  exhaustively at ``n = 3``).
+  exhaustively at ``n = 3``);
+* the delivery pass runs only when a forward just processed is of a
+  stable undelivered message: a forward carries its forwarder's newest
+  clock, so it changes no order proof but its own message's, and any
+  other pass would deliver nothing.  Forwards that arrive in clock order
+  skip the reorder buffer.
 
 The object layer reproduces the paper's abstraction-power results:
 :class:`SnapshotObject` (MWMR snapshot memory), :class:`Counter`, and
@@ -136,6 +141,9 @@ class ScdBroadcast:
         #: known-but-undelivered ids, maintained incrementally — the
         #: delivery pass iterates this, not every id ever seen.
         self._undelivered: Set[MessageId] = set()
+        #: undelivered ids forwarded by a majority: the pass's candidates.
+        #: Derived from ``_forwards`` and the delivered ids, so not in repr.
+        self._stable: Set[MessageId] = set()
         self.delivered_sets: List[MessageSet] = []
 
     @property
@@ -172,7 +180,8 @@ class ScdBroadcast:
         self._payloads[message_id] = payload
         self._undelivered.add(message_id)
         self._record_own_forward(ctx, message_id, payload)
-        self._try_deliver(ctx)
+        if message_id in self._stable:  # n = 1: my forward is a majority
+            self._try_deliver(ctx)
         return message_id
 
     def _record_own_forward(
@@ -186,7 +195,10 @@ class ScdBroadcast:
         """
         self._forwarded.add(message_id)
         self.clock += 1
-        self._forwards.setdefault(message_id, {})[self.pid] = self.clock
+        clocks = self._forwards.setdefault(message_id, {})
+        clocks[self.pid] = self.clock
+        if len(clocks) >= self.quorum:  # I forward at first sight: undelivered
+            self._stable.add(message_id)
         ctx.broadcast(
             (self.tag, "fwd", message_id, payload, self.pid, self.clock),
             include_self=False,
@@ -205,25 +217,38 @@ class ScdBroadcast:
         if fwd_clock < next_clock:
             return []  # link-level duplicate of an already processed forward
         buffer = self._reorder.setdefault(forwarder, {})
-        buffer[fwd_clock] = (message_id, payload)
-        processed = False
-        while self._next_clock[forwarder] in buffer:
-            mid, pay = buffer.pop(self._next_clock[forwarder])
-            self._next_clock[forwarder] += 1
-            self._process_forward(ctx, mid, pay, forwarder)
-            processed = True
-        if not processed:
+        if fwd_clock > next_clock:
+            buffer[fwd_clock] = (message_id, payload)
+            return []  # wait for the forwarder's earlier clocks
+        # In clock order: process it at once, then what it unblocked.
+        self._next_clock[forwarder] = fwd_clock + 1
+        self._process_forward(ctx, message_id, payload, forwarder, fwd_clock)
+        deliverable = message_id in self._stable
+        while fwd_clock + 1 in buffer:
+            fwd_clock += 1
+            mid, pay = buffer.pop(fwd_clock)
+            self._next_clock[forwarder] = fwd_clock + 1
+            self._process_forward(ctx, mid, pay, forwarder, fwd_clock)
+            deliverable = deliverable or mid in self._stable
+        if not deliverable:
             return []
         return self._try_deliver(ctx)
 
     def _process_forward(
-        self, ctx: Context, message_id: MessageId, payload: object, forwarder: int
+        self,
+        ctx: Context,
+        message_id: MessageId,
+        payload: object,
+        forwarder: int,
+        fwd_clock: int,
     ) -> None:
         self._payloads.setdefault(message_id, payload)
+        clocks = self._forwards.setdefault(message_id, {})
+        clocks[forwarder] = fwd_clock
         if message_id not in self._delivered_ids:
             self._undelivered.add(message_id)
-        clocks = self._forwards.setdefault(message_id, {})
-        clocks[forwarder] = self._next_clock[forwarder] - 1
+            if len(clocks) >= self.quorum:
+                self._stable.add(message_id)
         if message_id not in self._forwarded:
             self._record_own_forward(ctx, message_id, payload)
 
@@ -247,26 +272,28 @@ class ScdBroadcast:
         return count
 
     def _try_deliver(self, ctx: Context) -> List[MessageSet]:
-        undelivered = sorted(self._undelivered)
-        quorum = self.quorum
-        candidate = {
-            mid for mid in undelivered if len(self._forwards[mid]) >= quorum
-        }
-        # Fixpoint: drop any candidate that cannot be proven (by a
+        # Fixpoint: drop any stable candidate that cannot be proven (by a
         # majority of forwarders) to precede every excluded undelivered
-        # message.  Removals only shrink the set, so each removal stays
-        # justified against the final set — one pass per trigger.
+        # message.  The largest surviving set is unique, whatever the
+        # removal order.  Why callers may skip a pass: right after one,
+        # nothing more is deliverable; a processed forward of x carries
+        # its forwarder's newest clock, so it changes no order proof but
+        # x's own — the next pass can deliver only once such an x is stable.
+        quorum = self.quorum
+        candidate = set(self._stable)
+        excluded = self._undelivered - candidate
         changed = True
         while changed:
             changed = False
-            for mid in sorted(candidate):
-                for other in undelivered:
-                    if other == mid or other in candidate:
-                        continue
+            for mid in list(candidate):
+                for other in excluded:
                     if self._orders_before(mid, other) < quorum:
-                        candidate.discard(mid)
-                        changed = True
                         break
+                else:
+                    continue
+                candidate.discard(mid)
+                excluded.add(mid)
+                changed = True
         if not candidate:
             return []
         message_set: MessageSet = tuple(
@@ -275,6 +302,7 @@ class ScdBroadcast:
         )
         self._delivered_ids.update(candidate)
         self._undelivered.difference_update(candidate)
+        self._stable.difference_update(candidate)
         self.delivered_sets.append(message_set)
         if self.on_deliver is not None:
             self.on_deliver(ctx, message_set)

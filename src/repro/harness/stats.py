@@ -14,7 +14,9 @@ frozen bundle the service driver embeds in its reports; and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
@@ -37,6 +39,8 @@ def percentiles(
 
     >>> percentiles([5, 1, 3, 2, 4], ps=(50, 100))
     {50: 3, 100: 5}
+    >>> percentiles([1, 2, 3], ps=(33.4,))
+    {33.4: 2}
     """
     data = sorted(samples)
     if not data:
@@ -45,8 +49,9 @@ def percentiles(
     for p in ps:
         if not 0 <= p <= 100:
             raise ConfigurationError(f"percentile {p!r} outside [0, 100]")
-        # ceil(p/100 * m) without floats drifting: integer ceil division.
-        rank = max(1, -(-int(p * len(data)) // 100))
+        # ceil(p/100 * m) exactly, from p's decimal value: float
+        # arithmetic would round 64.4 * 250 / 100 up past 161.
+        rank = max(1, math.ceil(Fraction(str(p)) * len(data) / 100))
         out[p] = data[rank - 1]
     return out
 

@@ -177,11 +177,14 @@ class ScdKvServiceNode(AsyncProcess):
             if payload[0] == "w":
                 for key, value, ts in payload[1]:
                     _apply_tsmax(self.store, key, value, ts)
-        if self._await is not None and any(
-            m.message_id == self._await for m in message_set
-        ):
-            self._await = None
-            self._advance(ctx)
+        if self._await is None:
+            return
+        origin, seq = self._await
+        for message in message_set:
+            if message.seq == seq and message.origin == origin:
+                self._await = None
+                self._advance(ctx)
+                return
 
     def _advance(self, ctx: Context) -> None:
         if self._phase == "sync":

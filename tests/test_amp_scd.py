@@ -9,8 +9,10 @@ objects, counters, and a linearizable KV store.
 """
 
 import hashlib
+from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.amp import (
     Counter,
@@ -30,7 +32,8 @@ from repro.amp import (
     run_processes,
     wrap_reliable,
 )
-from repro.amp.scd import DELETED
+from repro.amp.network import Context
+from repro.amp.scd import DELETED, MessageId, MessageSet
 from repro.core.exceptions import ConfigurationError, ModelViolation
 from repro.core.history import History
 from repro.core.linearizability import is_linearizable
@@ -269,3 +272,193 @@ class TestUnderLossyLinksKv:
         check_kv_convergence(nodes)
         specs = {obj: kv_cell_spec() for obj in history.objects()}
         assert is_linearizable(history, specs)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep differential test against the full-pass delivery code
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceScdBroadcast(ScdBroadcast):
+    """``ScdBroadcast`` before the stable set, the skipped delivery passes
+    and the in-order fast path: every forward goes through the reorder
+    buffer, and every broadcast and every handled batch of forwards runs
+    the sorted fixpoint over all undelivered ids.  Kept verbatim as the
+    reference the optimized class must match call for call."""
+
+    def broadcast(self, ctx: Context, payload: object) -> MessageId:
+        message_id = (self.pid, self._next_seq)
+        self._next_seq += 1
+        self._payloads[message_id] = payload
+        self._undelivered.add(message_id)
+        self._record_own_forward(ctx, message_id, payload)
+        self._try_deliver(ctx)
+        return message_id
+
+    def _record_own_forward(
+        self, ctx: Context, message_id: MessageId, payload: object
+    ) -> None:
+        self._forwarded.add(message_id)
+        self.clock += 1
+        self._forwards.setdefault(message_id, {})[self.pid] = self.clock
+        ctx.broadcast(
+            (self.tag, "fwd", message_id, payload, self.pid, self.clock),
+            include_self=False,
+        )
+
+    def handle(self, ctx: Context, src: int, message: object) -> List[MessageSet]:
+        if not (isinstance(message, tuple) and message and message[0] == self.tag):
+            return []
+        _, _, message_id, payload, forwarder, fwd_clock = message
+        if forwarder == self.pid:
+            return []  # a wire reflection of my own forward: already counted
+        next_clock = self._next_clock.setdefault(forwarder, 1)
+        if fwd_clock < next_clock:
+            return []  # link-level duplicate of an already processed forward
+        buffer = self._reorder.setdefault(forwarder, {})
+        buffer[fwd_clock] = (message_id, payload)
+        processed = False
+        while self._next_clock[forwarder] in buffer:
+            mid, pay = buffer.pop(self._next_clock[forwarder])
+            self._next_clock[forwarder] += 1
+            self._process_forward(ctx, mid, pay, forwarder)
+            processed = True
+        if not processed:
+            return []
+        return self._try_deliver(ctx)
+
+    def _process_forward(
+        self, ctx: Context, message_id: MessageId, payload: object, forwarder: int
+    ) -> None:
+        self._payloads.setdefault(message_id, payload)
+        if message_id not in self._delivered_ids:
+            self._undelivered.add(message_id)
+        clocks = self._forwards.setdefault(message_id, {})
+        clocks[forwarder] = self._next_clock[forwarder] - 1
+        if message_id not in self._forwarded:
+            self._record_own_forward(ctx, message_id, payload)
+
+    def _try_deliver(self, ctx: Context) -> List[MessageSet]:
+        undelivered = sorted(self._undelivered)
+        quorum = self.quorum
+        candidate = {
+            mid for mid in undelivered if len(self._forwards[mid]) >= quorum
+        }
+        changed = True
+        while changed:
+            changed = False
+            for mid in sorted(candidate):
+                for other in undelivered:
+                    if other == mid or other in candidate:
+                        continue
+                    if self._orders_before(mid, other) < quorum:
+                        candidate.discard(mid)
+                        changed = True
+                        break
+        if not candidate:
+            return []
+        message_set: MessageSet = tuple(
+            ScdMessage(mid[0], mid[1], self._payloads[mid])
+            for mid in sorted(candidate)
+        )
+        self._delivered_ids.update(candidate)
+        self._undelivered.difference_update(candidate)
+        self.delivered_sets.append(message_set)
+        if self.on_deliver is not None:
+            self.on_deliver(ctx, message_set)
+        return [message_set]
+
+
+class _RecordingContext:
+    """What ``ScdBroadcast`` uses of a ``Context``: ``broadcast``, recorded
+    instead of sent.  ``scd`` is the instance this context drives."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.scd = None
+        self.sent = []
+
+    def broadcast(self, payload, include_self=True):
+        self.sent.append((payload, include_self))
+
+
+def _write_after_sync(ctx, message_set):
+    """Broadcast from inside ``on_deliver``, like the KV service's
+    sync-then-write: each delivered own ``("sync", k)`` sends a write."""
+    for message in message_set:
+        if message.origin == ctx.pid and message.payload[0] == "sync":
+            ctx.scd.broadcast(ctx, ("write", message.payload[1]))
+
+
+class _Lockstep:
+    """Per pid, one ``ScdBroadcast`` and one reference fed identically;
+    ``pending`` holds every forward copy sent and not yet delivered."""
+
+    def __init__(self, n):
+        self.n = n
+        self.sides = []
+        for cls in (ScdBroadcast, _ReferenceScdBroadcast):
+            contexts = [_RecordingContext(pid) for pid in range(n)]
+            for ctx in contexts:
+                ctx.scd = cls(ctx.pid, n, on_deliver=_write_after_sync)
+            self.sides.append(contexts)
+        self.pending = []
+
+    def call(self, pid, method, *args):
+        outcomes = []
+        for contexts in self.sides:
+            ctx = contexts[pid]
+            start = len(ctx.sent)
+            returned = getattr(ctx.scd, method)(ctx, *args)
+            outcomes.append(
+                (returned, ctx.scd.delivered_sets, repr(ctx.scd), ctx.sent[start:])
+            )
+        assert outcomes[0] == outcomes[1]
+        for payload, include_self in outcomes[0][3]:
+            self.pending.extend(
+                (pid, dst, payload)
+                for dst in range(self.n)
+                if include_self or dst != pid
+            )
+
+
+class TestLockstepWithReference:
+    """The stable set, the skipped passes and the in-order fast path
+    change no returned set, no delivered set, no ``repr`` (which the
+    explorer fingerprints) and no send, on any schedule: any pid
+    broadcasts at any step, forwards arrive in any order, and any
+    forward may arrive twice."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["plain", "sync", "deliver", "duplicate"]),
+                st.integers(0, 255),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_matches_full_pass_reference(self, n, steps):
+        net = _Lockstep(n)
+        for kind, k in steps:
+            if kind in ("plain", "sync"):
+                net.call(k % n, "broadcast", (kind, k))
+            elif net.pending:
+                index = k % len(net.pending)
+                if kind == "deliver":
+                    src, dst, message = net.pending.pop(index)
+                else:
+                    src, dst, message = net.pending[index]
+                net.call(dst, "handle", src, message)
+        while net.pending:  # then everything arrives, so every id delivers
+            src, dst, message = net.pending.pop()
+            net.call(dst, "handle", src, message)
+        for pid in range(n):
+            delivered = {
+                m.message_id
+                for message_set in net.sides[0][pid].scd.delivered_sets
+                for m in message_set
+            }
+            assert delivered == net.sides[0][pid].scd._payloads.keys()

@@ -31,6 +31,13 @@ class TestPercentiles:
         marks = percentiles(data, ps=(25, 50, 75))
         assert marks == {25: 3, 50: 5, 75: 8}
 
+    def test_fractional_percentiles_rank_exactly(self):
+        # Rank ceil(p/100 * m) from p's decimal value: flooring p * m
+        # first gives ranks 1 and 1; float p * m / 100 gives 162.
+        assert percentiles([1, 2, 3], ps=(33.4,)) == {33.4: 2}
+        assert percentiles(range(1, 202), ps=(0.5,)) == {0.5: 2}
+        assert percentiles(range(1, 251), ps=(64.4,)) == {64.4: 161}
+
     def test_defaults_are_p50_p90_p99(self):
         assert DEFAULT_PERCENTILES == (50.0, 90.0, 99.0)
         assert set(percentiles([1.0, 2.0])) == {50.0, 90.0, 99.0}
