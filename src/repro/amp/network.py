@@ -27,6 +27,9 @@ The simulator is a discrete-event loop over virtual time:
 * **failure detectors** are oracles attached to the run and queried
   through the context (see :mod:`repro.amp.failure_detectors`).
 
+:class:`DrivenRuntime` takes the same steps one at a time from outside,
+with no heap: the explorer and replay drive it.
+
 Processes subclass :class:`AsyncProcess` with ``on_start``,
 ``on_message``, ``on_timer``, ``on_recover`` handlers; each handler
 runs atomically at one instant of virtual time (local processing is
@@ -558,9 +561,7 @@ class AsyncRuntime:
         for entry in crashes:
             if isinstance(entry, RecoverAt):
                 if entry.pid not in self._initial_state:
-                    self._initial_state[entry.pid] = copy.deepcopy(
-                        vars(self.processes[entry.pid])
-                    )
+                    self._initial_state[entry.pid] = self._snapshot(entry.pid)
                 self._pending_recoveries[entry.pid] = (
                     self._pending_recoveries.get(entry.pid, 0) + 1
                 )
@@ -730,17 +731,23 @@ class AsyncRuntime:
                 return False
         return True
 
+    def start(self) -> None:
+        """Attach the failure detector and run every live process's
+        ``on_start`` (time 0), once; :meth:`run` starts a run itself."""
+        if self._started:
+            return
+        self._started = True
+        if self.failure_detector is not None and hasattr(
+            self.failure_detector, "attach"
+        ):
+            self.failure_detector.attach(self)
+        for pid in range(self.n):
+            if pid not in self.crashed:
+                self.processes[pid].on_start(self.contexts[pid])
+
     def run(self, until: Optional[float] = None) -> AmpRunResult:
         """Run the event loop to quiescence, budget, or the ``until`` time."""
-        if not self._started:
-            self._started = True
-            if self.failure_detector is not None and hasattr(
-                self.failure_detector, "attach"
-            ):
-                self.failure_detector.attach(self)
-            for pid in range(self.n):
-                if pid not in self.crashed:
-                    self.processes[pid].on_start(self.contexts[pid])
+        self.start()
         # Bound after attach(): a heartbeat detector wraps this instance's
         # _handle_delivery there, and every delivery must go through it.
         handle_delivery = self._handle_delivery
@@ -841,6 +848,16 @@ class AsyncRuntime:
                 if self._sink is not None:
                     self._sink.amp_drop(event_id, self.now, reason="crash")
 
+    def _snapshot(self, pid: int) -> dict:
+        """A deep copy of ``pid``'s attributes, for recovery to restore.
+
+        The memo maps the process to itself, so a callback bound to it
+        (``ScdBroadcast(on_deliver=self._count)``) stays bound to the
+        live process instead of to a detached clone.
+        """
+        process = self.processes[pid]
+        return copy.deepcopy(vars(process), {id(process): process})
+
     def _handle_recover(self, pid: int) -> None:
         if pid not in self.crashed:
             return  # the matching crash never fired (e.g. truncated run)
@@ -854,7 +871,7 @@ class AsyncRuntime:
         snapshot = self._initial_state.get(pid)
         if snapshot is not None:
             process.__dict__.clear()
-            process.__dict__.update(copy.deepcopy(snapshot))
+            process.__dict__.update(copy.deepcopy(snapshot, {id(process): process}))
         ctx = self.contexts[pid]
         ctx.halted = False  # a halt is volatile; a decision is irrevocable
         if self._sink is not None:
@@ -888,6 +905,146 @@ class AsyncRuntime:
             payload_delivered=self.payload_delivered,
             recovered=frozenset(self.recovered),
         )
+
+
+class DrivenRuntime(AsyncRuntime):
+    """An :class:`AsyncRuntime` stepped from outside, one event at a time.
+
+    Nothing is scheduled: sends and timers are parked in :attr:`pending`
+    and :attr:`pending_timers` under sequence numbers, and the caller sets
+    :attr:`now` and takes one step per event.  The explorer
+    (:class:`~repro.explore.amp_model.AmpModel`) drives it with choices,
+    :class:`~repro.trace.replay.ReplayRuntime` with a recorded schedule.
+    A step naming a missing send or timer, or a dead process, raises
+    :attr:`divergence`.  ``recoverable`` names the pids whose
+    constructed state :meth:`recover` restores.
+    """
+
+    divergence = ConfigurationError
+
+    def __init__(
+        self,
+        processes: Sequence[AsyncProcess],
+        seed: int = 0,
+        sink: Optional["TraceSink"] = None,
+        failure_detector: Optional[object] = None,
+        recoverable: Iterable[int] = (),
+    ) -> None:
+        super().__init__(
+            processes, failure_detector=failure_detector, seed=seed, sink=sink
+        )
+        #: send_seq → (src, dst, payload, units), undelivered copies
+        self.pending: Dict[int, Tuple[int, int, object, int]] = {}
+        #: timer_seq → (pid, name), unfired timers
+        self.pending_timers: Dict[int, Tuple[int, object]] = {}
+        self._send_counter = 0
+        self._timer_counter = 0
+        self.losses = 0
+        self.duplicated = 0
+        #: send_seqs whose loss the sink records right after the send, as
+        #: the event loop does when its link model loses a copy
+        self._inline_losses: Set[int] = set()
+        for pid in recoverable:
+            self._initial_state[pid] = self._snapshot(pid)
+
+    def run(self, until: Optional[float] = None) -> AmpRunResult:
+        raise ConfigurationError(
+            f"{type(self).__name__} is driven one step at a time; "
+            "it has no event loop"
+        )
+
+    # -- protocol-facing plumbing (parked, not scheduled) ------------------
+
+    def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
+        if src in self.crashed:
+            return  # a crashed process sends nothing
+        units = payload_units(payload)
+        copies = len(dsts)
+        self.messages_sent += copies
+        self.payload_sent += units * copies
+        first = self._send_counter
+        self._send_counter = first + copies
+        pending = self.pending
+        sink = self._sink
+        for seq, dst in enumerate(dsts, first):
+            pending[seq] = (src, dst, payload, units)
+            if sink is not None:
+                sink.amp_send(seq, src, dst, payload, units, self.now)
+                if seq in self._inline_losses:
+                    sink.amp_drop(seq, self.now, reason="loss")
+
+    def _set_timer(self, pid: int, delay: float, name: object) -> None:
+        if delay < 0:
+            raise ConfigurationError("timer delay must be >= 0")
+        seq = self._timer_counter
+        self._timer_counter = seq + 1
+        self.pending_timers[seq] = (pid, name)
+        if self._sink is not None:
+            self._sink.amp_timer_set(seq, pid)
+
+    # -- steps ---------------------------------------------------------------
+
+    def _pending_send(self, seq: int, keep: bool) -> Tuple[int, int, object, int]:
+        entry = self.pending.get(seq) if keep else self.pending.pop(seq, None)
+        if entry is None:
+            raise self.divergence(f"no pending send #{seq}")
+        return entry
+
+    def _check_live(self, pid: int) -> None:
+        if pid in self.crashed or self.contexts[pid].halted:
+            raise self.divergence(f"process {pid} is dead")
+
+    def deliver(self, seq: int, keep: bool = False) -> None:
+        """Deliver pending copy ``seq``; ``keep`` leaves it pending."""
+        src, dst, payload, units = self._pending_send(seq, keep)
+        self._check_live(dst)
+        self._handle_delivery(seq, src, dst, payload, units)
+
+    def fire_timer(self, seq: int, pid: int) -> None:
+        """Fire pending timer ``seq``, which ``pid`` set."""
+        entry = self.pending_timers.pop(seq, None)
+        if entry is None or entry[0] != pid:
+            raise self.divergence(f"no pending timer #{seq} on process {pid}")
+        self._check_live(pid)
+        if self._sink is not None:
+            self._sink.amp_timer(seq, pid, entry[1], self.now)
+        self.processes[pid].on_timer(self.contexts[pid], entry[1])
+
+    def crash(self, pid: int) -> None:
+        """Crash ``pid``; its pending sends and timers stay pending."""
+        if pid in self.crashed:
+            raise self.divergence(f"process {pid} crashed twice")
+        self._handle_crash(pid, 0.0)
+
+    def recover(self, pid: int) -> None:
+        """Bring crashed ``pid`` back at its snapshotted state."""
+        if pid not in self.crashed:
+            raise self.divergence(f"process {pid} is not crashed")
+        self._handle_recover(pid)
+
+    def drop_timer(self, seq: int, reason: str) -> None:
+        """Discard pending timer ``seq`` unfired."""
+        if self.pending_timers.pop(seq, None) is None:
+            raise self.divergence(f"no pending timer #{seq}")
+        if self._sink is not None:
+            self._sink.amp_drop_timer(seq, self.now, reason=reason)
+
+    def lose(self, seq: int, reason: str = "loss", keep: bool = False) -> None:
+        """Drop pending copy ``seq`` undelivered; ``keep`` leaves it pending."""
+        self._pending_send(seq, keep)
+        self.losses += 1
+        if self._sink is not None:
+            self._sink.amp_drop(seq, self.now, reason=reason)
+
+    def duplicate(self, seq: int) -> None:
+        """Park a copy of pending send ``seq`` under the next send seq;
+        the trace records no send, as the protocol sent once."""
+        copy_seq = self._send_counter
+        self.pending[copy_seq] = self._pending_send(seq, keep=True)
+        self._send_counter = copy_seq + 1
+        self.duplicated += 1
+        if self._sink is not None:
+            self._sink.amp_send_dup(copy_seq, seq)
 
 
 def run_processes(

@@ -50,7 +50,7 @@ from .properties import (
 )
 from .strategies import BFS, DFS, RandomWalk, Strategy
 from .shm_model import ShmMachineModel
-from .amp_model import AmpExplorationRuntime, AmpModel
+from .amp_model import AmpModel
 from .sync_model import (
     ScriptedAdversary,
     SyncAdversaryModel,
@@ -105,7 +105,6 @@ __all__ = [
     "Counterexample",
     "ShmMachineModel",
     "AmpModel",
-    "AmpExplorationRuntime",
     "SyncAdversaryModel",
     "ScriptedAdversary",
     "deliver_all_choices",

@@ -2,9 +2,10 @@
 
 In ``AMP_{n,t}`` the adversary's freedom is the *order* in which pending
 messages are delivered (plus when timers fire and who crashes).  The
-branching structure is made explicit by a controlled runtime that holds
-every sent message in a **pending set** instead of a delay heap; a
-choice is one of:
+branching structure is made explicit by
+:class:`~repro.amp.network.DrivenRuntime`, which holds every sent
+message in a **pending set** instead of a delay heap and takes one step
+per choice, at one tick of virtual time each; a choice is one of:
 
 * ``("deliver", send_seq, dst)`` — deliver a pending message;
 * ``("timer", timer_seq, pid)`` — fire a pending timer;
@@ -34,18 +35,19 @@ conservatively dependent on each other (a crash budget makes one crash
 disable another).
 
 Counterexamples record the schedule through a sink-instrumented run and
-replay it byte-identically via :func:`repro.trace.replay.replay`.
+replay it byte-identically via :func:`repro.trace.replay.replay`, which
+drives the same runtime class from the recorded events.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..amp.network import AsyncProcess, AsyncRuntime, FixedDelay
+from ..amp.network import AsyncProcess, DrivenRuntime
 from ..core.exceptions import ConfigurationError
+# Not called here; benchsuite's tracer still wraps it by this module's name.
 from ..core.volume import payload_units
 from ..trace.events import TraceEvent, trace_hash
 from ..trace.replay import replay
@@ -55,155 +57,6 @@ from .model import ExplorationModel, Interner
 
 Choice = Tuple
 Prefix = Tuple[Choice, ...]
-
-
-class AmpExplorationRuntime(AsyncRuntime):
-    """An :class:`AsyncRuntime` whose event loop is externalized.
-
-    ``_send`` parks messages in :attr:`pending` (keyed by a
-    deterministic send sequence number) instead of scheduling a
-    delivery; :meth:`apply` executes one exploration choice.  Virtual
-    time advances by 1.0 per applied choice, so recorded traces carry
-    a well-defined, replayable time axis.
-    """
-
-    def __init__(
-        self,
-        processes: Sequence[AsyncProcess],
-        seed: int = 0,
-        sink: Optional[TraceSink] = None,
-        recovery_enabled: bool = False,
-    ) -> None:
-        super().__init__(
-            processes,
-            delay_model=FixedDelay(1.0),
-            seed=seed,
-            quiesce_when_decided=True,
-            sink=sink,
-        )
-        #: send_seq → (src, dst, payload, units), undelivered messages
-        self.pending: Dict[int, Tuple[int, int, object, int]] = {}
-        #: timer_seq → (pid, name), unfired timers
-        self.pending_timers: Dict[int, Tuple[int, object]] = {}
-        self._send_counter = 0
-        self._timer_counter = 0
-        self.losses = 0
-        self.duplicated = 0
-        self.recovery_enabled = recovery_enabled
-        if recovery_enabled:
-            # Recovery restores constructed state, so snapshot everyone
-            # (any live process may crash-then-recover during the search).
-            self._initial_state = {
-                pid: copy.deepcopy(vars(self.processes[pid]))
-                for pid in range(self.n)
-            }
-
-    # -- protocol-facing plumbing (parked, not scheduled) ------------------
-
-    def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
-        if src in self.crashed:
-            return
-        units = payload_units(payload)
-        pending = self.pending
-        sink = self._sink
-        for dst in dsts:
-            seq = self._send_counter
-            self._send_counter = seq + 1
-            pending[seq] = (src, dst, payload, units)
-            self.messages_sent += 1
-            self.payload_sent += units
-            if sink is not None:
-                sink.amp_send(seq, src, dst, payload, units, self.now)
-
-    def _set_timer(self, pid: int, delay: float, name: object) -> None:
-        if delay < 0:
-            raise ConfigurationError("timer delay must be >= 0")
-        seq = self._timer_counter
-        self._timer_counter += 1
-        self.pending_timers[seq] = (pid, name)
-        if self._sink is not None:
-            self._sink.amp_timer_set(seq, pid)
-
-    def run(self, until=None):  # pragma: no cover - misuse guard
-        raise ConfigurationError(
-            "AmpExplorationRuntime is driven by apply(); it has no event loop"
-        )
-
-    # -- exploration controls ---------------------------------------------
-
-    def start(self) -> None:
-        """Run every live process's ``on_start`` (time 0)."""
-        self._started = True
-        for pid in range(self.n):
-            if pid not in self.crashed:
-                self.processes[pid].on_start(self.contexts[pid])
-
-    def apply(self, choice: Choice) -> None:
-        """Execute one exploration choice (one tick of virtual time)."""
-        self.now += 1.0
-        kind = choice[0]
-        if kind == "deliver":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
-            src, dst, payload, units = self.pending.pop(seq)
-            if dst in self.crashed or self.contexts[dst].halted:
-                raise ConfigurationError(f"delivery to dead process {dst}")
-            self.messages_delivered += 1
-            self.payload_delivered += units
-            if self._sink is not None:
-                self._sink.amp_deliver(seq, src, dst, payload, self.now)
-            self.processes[dst].on_message(self.contexts[dst], src, payload)
-        elif kind == "timer":
-            seq = choice[1]
-            if seq not in self.pending_timers:
-                raise ConfigurationError(f"no pending timer #{seq}")
-            pid, name = self.pending_timers.pop(seq)
-            if self._sink is not None:
-                self._sink.amp_timer(seq, pid, name, self.now)
-            self.processes[pid].on_timer(self.contexts[pid], name)
-        elif kind == "crash":
-            pid = choice[1]
-            if pid in self.crashed:
-                raise ConfigurationError(f"process {pid} crashed twice")
-            self.crashed.add(pid)
-            if self._sink is not None:
-                self._sink.amp_crash(pid, self.now)
-            if self.recovery_enabled:
-                # Timers are volatile: they die with the incarnation, and
-                # must not fire for a future recovered one.
-                for seq in sorted(self.pending_timers):
-                    if self.pending_timers[seq][0] == pid:
-                        del self.pending_timers[seq]
-                        if self._sink is not None:
-                            self._sink.amp_drop_timer(seq, self.now, reason="stale")
-        elif kind == "lose":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
-            del self.pending[seq]
-            self.losses += 1
-            if self._sink is not None:
-                self._sink.amp_drop(seq, self.now, reason="loss")
-        elif kind == "dup":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
-            copy_seq = self._send_counter
-            self._send_counter += 1
-            # The copy shares the original's payload (and, in the trace,
-            # its send_seq — the protocol only sent once).
-            self.pending[copy_seq] = self.pending[seq]
-            self.duplicated += 1
-            if self._sink is not None:
-                self._sink.amp_send_dup(copy_seq, seq)
-        elif kind == "recover":
-            pid = choice[1]
-            if pid not in self.crashed:
-                raise ConfigurationError(f"process {pid} is not crashed")
-            self._handle_recover(pid)
-        else:
-            raise ConfigurationError(f"unknown exploration choice {choice!r}")
 
 
 class AmpModel(ExplorationModel):
@@ -237,6 +90,8 @@ class AmpModel(ExplorationModel):
     """
 
     kernel = "amp"
+    #: materialized prefixes kept, least recently used evicted first
+    _CACHE_SIZE = 8
 
     def __init__(
         self,
@@ -244,7 +99,6 @@ class AmpModel(ExplorationModel):
         seed: int = 0,
         max_crashes: int = 0,
         stop_when_settled: bool = True,
-        cache_size: int = 8,
         max_losses: int = 0,
         max_duplications: int = 0,
         allow_recovery: bool = False,
@@ -264,26 +118,56 @@ class AmpModel(ExplorationModel):
         self.stop_when_settled = stop_when_settled
         self.n = len(list(factory()))
         self._intern = Interner()
-        self._cache: "OrderedDict[Prefix, AmpExplorationRuntime]" = OrderedDict()
-        self._cache_size = max(1, cache_size)
+        self._cache: "OrderedDict[Prefix, DrivenRuntime]" = OrderedDict()
 
     # -- stateless materialization ----------------------------------------
 
-    def _materialize(self, prefix: Prefix) -> AmpExplorationRuntime:
+    def _run(
+        self, schedule: Sequence[Choice], sink: Optional[TraceSink] = None
+    ) -> DrivenRuntime:
+        """Fresh processes driven through ``schedule``, one tick of
+        virtual time per choice."""
+        runtime = DrivenRuntime(
+            list(self.factory()),
+            seed=self.seed,
+            sink=sink,
+            # Any live process may crash and then recover in the search.
+            recoverable=range(self.n) if self.allow_recovery else (),
+        )
+        runtime.start()
+        for choice in schedule:
+            runtime.now += 1.0
+            kind = choice[0]
+            if kind == "deliver":
+                runtime.deliver(choice[1])
+            elif kind == "timer":
+                runtime.fire_timer(choice[1], choice[2])
+            elif kind == "crash":
+                pid = choice[1]
+                runtime.crash(pid)
+                if self.allow_recovery:
+                    # Timers are volatile: they die with the incarnation,
+                    # and must not fire for a future recovered one.
+                    for seq in sorted(runtime.pending_timers):
+                        if runtime.pending_timers[seq][0] == pid:
+                            runtime.drop_timer(seq, "stale")
+            elif kind == "lose":
+                runtime.lose(choice[1])
+            elif kind == "dup":
+                runtime.duplicate(choice[1])
+            elif kind == "recover":
+                runtime.recover(choice[1])
+            else:
+                raise ConfigurationError(f"unknown exploration choice {choice!r}")
+        return runtime
+
+    def _materialize(self, prefix: Prefix) -> DrivenRuntime:
         runtime = self._cache.get(prefix)
         if runtime is not None:
             self._cache.move_to_end(prefix)
             return runtime
-        runtime = AmpExplorationRuntime(
-            list(self.factory()),
-            seed=self.seed,
-            recovery_enabled=self.allow_recovery,
-        )
-        runtime.start()
-        for choice in prefix:
-            runtime.apply(choice)
-        self._cache[prefix] = runtime
-        while len(self._cache) > self._cache_size:
+        runtime = self._cache[prefix] = self._run(prefix)
+        if len(self._cache) > self._CACHE_SIZE:
             self._cache.popitem(last=False)
         return runtime
 
@@ -404,15 +288,7 @@ class AmpModel(ExplorationModel):
 
     def counterexample(self, schedule: Sequence[Choice]) -> Counterexample:
         sink = MemorySink()
-        runtime = AmpExplorationRuntime(
-            list(self.factory()),
-            seed=self.seed,
-            sink=sink,
-            recovery_enabled=self.allow_recovery,
-        )
-        runtime.start()
-        for choice in schedule:
-            runtime.apply(choice)
+        self._run(schedule, sink)
         events = list(sink.events)
         factory, seed = self.factory, self.seed
 

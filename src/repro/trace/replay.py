@@ -1,20 +1,24 @@
 """Deterministic record/replay from captured schedules.
 
 A recorded AMP trace *is* a schedule: the sequence of processed
-deliveries, timer firings, crashes, and drops, in exactly the order the
-event loop took them.  :class:`ReplayRuntime` re-executes the same
-protocol against that sequence directly — no delay model, no adversary,
-no crash schedule — so a violating run found by a random sweep becomes
-a minimal, self-contained repro: the protocol plus one JSONL file.
+deliveries, timer firings, crashes, recoveries and drops, in exactly
+the order the run took them.  :class:`ReplayRuntime` re-executes the
+same protocol against that sequence directly — no delay model, no
+adversary, no crash schedule — so a violating run found by a random
+sweep becomes a minimal, self-contained repro: the protocol plus one
+JSONL file.  It is a :class:`~repro.amp.network.DrivenRuntime` that
+takes one step per recorded event, at the event's time: the runtime
+class the explorer drives with its choices, so explorer
+counterexamples replay through the code that recorded them.
 
 The replay is *checked*: every send the re-executed protocol emits is
 matched against the recorded one (same src, dst, payload ``repr``, in
 the same global order), a send with no recorded counterpart or a
 recorded send never re-issued is a mismatch, and every recorded
-delivery must find its pending send.  Any mismatch raises
-:exc:`ReplayDivergence` — the
-protocol is nondeterministic beyond its seeded RNG, which is itself a
-finding.
+delivery, timer or drop must find its send or timer pending (and a
+delivery or timer its process alive).  Any mismatch raises
+:exc:`ReplayDivergence` — the protocol is nondeterministic beyond its
+seeded RNG, which is itself a finding.
 
 Identity guarantee (asserted by the tests): replaying a capture with a
 fresh sink produces an event log with the **same** :func:`~repro.trace.events.trace_hash`
@@ -30,12 +34,10 @@ is a proof object rather than a replay input.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..amp.network import AmpRunResult, AsyncProcess, AsyncRuntime
+from ..amp.network import AmpRunResult, AsyncProcess, DrivenRuntime
 from ..core.exceptions import ConfigurationError, ModelViolation
-from ..core.volume import payload_units
 from ..shm.runtime import Scheduler
 from .events import (
     CRASH,
@@ -67,7 +69,7 @@ def schedule_of(events: Sequence[TraceEvent]) -> List[TraceEvent]:
     return [e for e in events if e.kind in SCHEDULE_KINDS]
 
 
-class ReplayRuntime(AsyncRuntime):
+class ReplayRuntime(DrivenRuntime):
     """Re-execute fresh processes under a recorded AMP schedule.
 
     Parameters mirror :class:`~repro.amp.network.AsyncRuntime` where
@@ -76,6 +78,8 @@ class ReplayRuntime(AsyncRuntime):
     original run's seed (it feeds the per-process RNGs the protocol
     consumed).
     """
+
+    divergence = ReplayDivergence
 
     def __init__(
         self,
@@ -87,94 +91,57 @@ class ReplayRuntime(AsyncRuntime):
     ) -> None:
         super().__init__(
             processes,
-            failure_detector=failure_detector,
             seed=seed,
-            quiesce_when_decided=False,
             sink=sink,
+            failure_detector=failure_detector,
+            # Recovery restores constructed in-memory state: snapshot
+            # every pid the recorded run recovered.
+            recoverable={e.pid for e in events if e.kind == RECOVER},
         )
         self._schedule = schedule_of(events)
         self._recorded_sends: Dict[int, TraceEvent] = {
             e.data["send_seq"]: e for e in events if e.kind == SEND
         }
-        #: send_seq → (src, dst, payload, units) re-issued by the protocol.
-        #: Entries are retained after delivery: with a duplicating link the
-        #: same send_seq is delivered more than once.
-        self._pending_sends: Dict[int, Tuple[int, int, object, int]] = {}
-        self._pending_timers: Dict[int, Tuple[int, object]] = {}
-        self._replay_send_seq = 0
-        self._replay_timer_seq = 0
-        # Loss drops recorded *immediately after* their send are the
-        # runtime's inline style (the link model lost the message at
-        # send time, mid-handler); they must be re-emitted right after
-        # the matching re-issued send to keep the event log byte-
-        # identical, and skipped at their schedule position.  A loss
-        # drop elsewhere (the explorer's at-choice style) replays at its
-        # schedule position as usual.
-        self._inline_losses = set()
-        for prev, e in zip(events, list(events)[1:]):
-            if (
-                e.kind == DROP
-                and e.data.get("reason") == "loss"
-                and "timer_seq" not in e.data
-                and prev.kind == SEND
-                and prev.data["send_seq"] == e.data["send_seq"]
-            ):
-                self._inline_losses.add(e.data["send_seq"])
-        # Recovery restores constructed in-memory state: snapshot it for
-        # every pid the recorded run recovered (mirrors AsyncRuntime).
-        for e in events:
-            if e.kind == RECOVER and e.pid not in self._initial_state:
-                self._initial_state[e.pid] = copy.deepcopy(
-                    vars(self.processes[e.pid])
-                )
-
-    # -- protocol-facing plumbing (indexed, not scheduled) -----------------
+        # The event loop's link model loses a copy inline, mid-handler:
+        # its loss drop follows the send at the send's own time, and is
+        # re-emitted right after the re-issued send instead of at its
+        # schedule position.  A later loss (the explorer's "lose"
+        # choice, a tick or more after the send) replays in place.
+        events = list(events)
+        self._inline_losses.update(
+            e.data["send_seq"]
+            for prev, e in zip(events, events[1:])
+            if e.kind == DROP
+            and e.data.get("reason") == "loss"
+            and "timer_seq" not in e.data
+            and prev.kind == SEND
+            and prev.data["send_seq"] == e.data["send_seq"]
+            and prev.time == e.time
+        )
 
     def _send(self, src: int, dsts: Sequence[int], payload: object) -> None:
-        if src in self.crashed:
-            return
-        payload_repr = repr(payload)
-        units = payload_units(payload)
-        recorded_sends = self._recorded_sends
-        sink = self._sink
-        for dst in dsts:
-            seq = self._replay_send_seq
-            self._replay_send_seq = seq + 1
-            recorded = recorded_sends.get(seq)
-            if recorded is None:
-                raise ReplayDivergence(
-                    f"send #{seq} {src}→{dst} {payload_repr} has no recorded "
-                    f"counterpart (the recording has {len(recorded_sends)} sends)"
-                )
-            data = recorded.data
-            if (
-                data["src"] != src
-                or data["dst"] != dst
-                or data["payload"] != payload_repr
-            ):
-                raise ReplayDivergence(
-                    f"send #{seq} diverged: recorded "
-                    f"{data['src']}→{data['dst']} {data['payload']}, "
-                    f"replayed {src}→{dst} {payload_repr}"
-                )
-            self._pending_sends[seq] = (src, dst, payload, units)
-            self.messages_sent += 1
-            self.payload_sent += units
-            if sink is not None:
-                sink.amp_send(seq, src, dst, payload, units, self.now)
-                if seq in self._inline_losses:
-                    sink.amp_drop(seq, self.now, reason="loss")
-
-    def _set_timer(self, pid: int, delay: float, name: object) -> None:
-        if delay < 0:
-            raise ConfigurationError("timer delay must be >= 0")
-        seq = self._replay_timer_seq
-        self._replay_timer_seq += 1
-        self._pending_timers[seq] = (pid, name)
-        if self._sink is not None:
-            self._sink.amp_timer_set(seq, pid)
-
-    # -- the replay loop ---------------------------------------------------
+        if src not in self.crashed:
+            payload_repr = repr(payload)
+            recorded_sends = self._recorded_sends
+            for seq, dst in enumerate(dsts, self._send_counter):
+                recorded = recorded_sends.get(seq)
+                if recorded is None:
+                    raise ReplayDivergence(
+                        f"send #{seq} {src}→{dst} {payload_repr} has no recorded "
+                        f"counterpart (the recording has {len(recorded_sends)} sends)"
+                    )
+                data = recorded.data
+                if (
+                    data["src"] != src
+                    or data["dst"] != dst
+                    or data["payload"] != payload_repr
+                ):
+                    raise ReplayDivergence(
+                        f"send #{seq} diverged: recorded "
+                        f"{data['src']}→{data['dst']} {data['payload']}, "
+                        f"replayed {src}→{dst} {payload_repr}"
+                    )
+        super()._send(src, dsts, payload)
 
     def run(self, until: Optional[float] = None) -> AmpRunResult:
         if until is not None:
@@ -182,84 +149,31 @@ class ReplayRuntime(AsyncRuntime):
                 "replay re-executes one recorded run() to completion; "
                 "segmented runs are not replayable"
             )
-        if not self._started:
-            self._started = True
-            if self.failure_detector is not None and hasattr(
-                self.failure_detector, "attach"
-            ):
-                self.failure_detector.attach(self)
-            for pid in range(self.n):
-                if pid not in self.crashed:
-                    self.processes[pid].on_start(self.contexts[pid])
+        self.start()
         for event in self._schedule:
             if event.time > self.now:
                 self.now = event.time
-            if event.kind == CRASH:
-                self.crashed.add(event.pid)
-                if self._sink is not None:
-                    self._sink.amp_crash(event.pid, self.now)
-            elif event.kind == RECOVER:
-                self._handle_recover(event.pid)
-            elif event.kind == DROP:
-                if "timer_seq" in event.data:
-                    self._pending_timers.pop(event.data["timer_seq"], None)
-                    if self._sink is not None:
-                        self._sink.amp_drop_timer(
-                            event.data["timer_seq"],
-                            self.now,
-                            reason=event.data["reason"],
-                        )
-                elif event.data["send_seq"] not in self._inline_losses:
-                    if self._sink is not None:
-                        self._sink.amp_drop(
-                            event.data["send_seq"],
-                            self.now,
-                            reason=event.data["reason"],
-                        )
-            elif event.kind == DELIVER:
-                self._replay_delivery(event)
-            elif event.kind == TIMER:
-                self._replay_timer(event)
-        if self._replay_send_seq < len(self._recorded_sends):
+            kind, data = event.kind, event.data
+            # Entries stay pending after a delivery or a drop: with a
+            # duplicating link one send_seq names several copies.
+            if kind == DELIVER:
+                self.deliver(data["send_seq"], keep=True)
+            elif kind == TIMER:
+                self.fire_timer(data["timer_seq"], event.pid)
+            elif kind == CRASH:
+                self.crash(event.pid)
+            elif kind == RECOVER:
+                self.recover(event.pid)
+            elif "timer_seq" in data:
+                self.drop_timer(data["timer_seq"], data["reason"])
+            elif data["send_seq"] not in self._inline_losses:
+                self.lose(data["send_seq"], data["reason"], keep=True)
+        if self._send_counter < len(self._recorded_sends):
             raise ReplayDivergence(
-                f"replay re-issued {self._replay_send_seq} sends, "
+                f"replay re-issued {self._send_counter} sends, "
                 f"the recording has {len(self._recorded_sends)}"
             )
         return self.result()
-
-    def _replay_delivery(self, event: TraceEvent) -> None:
-        seq = event.data["send_seq"]
-        pending = self._pending_sends.get(seq)
-        if pending is None:
-            raise ReplayDivergence(
-                f"recorded delivery of send #{seq} has no pending send in replay"
-            )
-        src, dst, payload, units = pending
-        if dst in self.crashed or self.contexts[dst].halted:
-            raise ReplayDivergence(
-                f"recorded delivery to {dst} but {dst} is dead in replay"
-            )
-        self.messages_delivered += 1
-        self.payload_delivered += units
-        if self._sink is not None:
-            self._sink.amp_deliver(seq, src, dst, payload, self.now)
-        self.processes[dst].on_message(self.contexts[dst], src, payload)
-
-    def _replay_timer(self, event: TraceEvent) -> None:
-        seq = event.data["timer_seq"]
-        pending = self._pending_timers.pop(seq, None)
-        if pending is None:
-            raise ReplayDivergence(
-                f"recorded timer #{seq} was never set during replay"
-            )
-        pid, name = pending
-        if pid != event.pid:
-            raise ReplayDivergence(
-                f"timer #{seq} diverged: recorded on {event.pid}, replayed on {pid}"
-            )
-        if self._sink is not None:
-            self._sink.amp_timer(seq, pid, name, self.now)
-        self.processes[pid].on_timer(self.contexts[pid], name)
 
 
 def replay(

@@ -25,7 +25,8 @@ from repro.amp import (
     UniformDelay,
     run_processes,
 )
-from repro.explore.amp_model import AmpExplorationRuntime
+from repro.amp.network import DrivenRuntime
+from repro.explore import AmpModel
 from repro.trace import MemorySink, replay, trace_hash
 
 
@@ -694,9 +695,10 @@ class TestMultiDestinationSend:
             calls.append(payload)
             return payload_units(payload)
 
-        # By module path: the package re-exports a ``replay`` function
-        # that shadows the ``repro.trace.replay`` submodule attribute.
-        for module in ("repro.amp.network", "repro.explore.amp_model", "repro.trace.replay"):
+        # The event loop, replay and the explorer all measure in
+        # ``repro.amp.network``: replay and the explorer drive its
+        # ``DrivenRuntime``.
+        for module in ("repro.amp.network",):
             monkeypatch.setattr(importlib.import_module(module), "payload_units", counting)
 
         class Chatty(AsyncProcess):
@@ -729,7 +731,7 @@ class TestMultiDestinationSend:
 
         del calls[:]
         procs = make()
-        explorer = AmpExplorationRuntime(procs)
+        explorer = DrivenRuntime(procs)
         explorer.start()
         assert len(calls) == sum(p.send_calls for p in procs) == 12
         assert explorer.messages_sent == result.messages_sent
@@ -784,16 +786,11 @@ class _PerSenderIndexRuntime(_PerDestinationRuntime):
                     self._sink.amp_drop(event_id, self.now, reason="crash")
 
 
+_timed_actions = _actions | st.tuples(
+    st.just("timer"), st.sampled_from([0.0, 0.3, 1.0]), _payloads
+)
 _timed_protocols = st.integers(2, 5).flatmap(
-    lambda n: st.lists(
-        st.lists(
-            _actions
-            | st.tuples(st.just("timer"), st.sampled_from([0.0, 0.3, 1.0]), _payloads),
-            max_size=4,
-        ),
-        min_size=n,
-        max_size=n,
-    )
+    lambda n: st.lists(st.lists(_timed_actions, max_size=4), min_size=n, max_size=n)
 )
 _drops = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
@@ -868,3 +865,34 @@ class TestCrashDropsMatchPerSenderIndex:
         ref, ref_events = self._run(_PerSenderIndexRuntime, link, case, quiesce, seed)
         assert trace_hash(new_events) == trace_hash(ref_events)
         assert new == ref
+
+
+class TestExplorerReplayRoundTrip:
+    """The explorer and replay step the same runtime, so every explorer
+    walk, over all six choice kinds, replays byte-identically."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scripts=st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(_timed_actions, max_size=4), min_size=n, max_size=n
+            )
+        ),
+        data=st.data(),
+    )
+    def test_every_walk_replays_identically(self, scripts, data):
+        model = AmpModel(
+            lambda: [Scripted(script) for script in scripts],
+            max_crashes=1,
+            allow_recovery=True,
+            max_losses=1,
+            max_duplications=1,
+            stop_when_settled=False,
+        )
+        walk = ()
+        for _ in range(data.draw(st.integers(0, 12))):
+            choices = model.enabled(walk)
+            if not choices:
+                break
+            walk += (data.draw(st.sampled_from(choices)),)
+        assert model.counterexample(walk).replays_identically()

@@ -24,8 +24,11 @@ from repro.amp import (
     OmegaFD,
     RecoverAt,
     ReliableBroadcast,
+    ScdNode,
     StableStorage,
     TargetedDelay,
+    UniformDelay,
+    run_processes,
 )
 from repro.amp.smr import (
     ReplicatedStateMachine,
@@ -33,6 +36,7 @@ from repro.amp.smr import (
     make_replicated_machine,
 )
 from repro.core.seqspec import register_spec
+from repro.explore import AmpModel, make_scd_nodes
 from repro.trace import DROP, MemorySink, recovered_pids, replay, trace_hash
 
 
@@ -227,6 +231,42 @@ class TestRecoverySemantics:
         assert storage.payload_units_written > 0
         assert "a" in storage and len(storage) == 1
         assert storage.snapshot() == {"a": (4, 5, 6)}
+
+
+class TestRecoveryKeepsBoundCallbacks:
+    """An SCD node hands its ``ScdBroadcast`` its own bound ``_count``.
+    Recovery must bind the restored callback to the live node, not to a
+    clone of it that deep-copying the snapshot built on the side."""
+
+    @staticmethod
+    def assert_bound_to_itself(node):
+        assert node.scd.on_deliver.__self__ is node
+        assert node.delivered_count == sum(map(len, node.delivered_sets))
+
+    # Down at 0.05, the node recovers before any set is delivered to it;
+    # down at 0.3, after one was.
+    @pytest.mark.parametrize("down, up", [(0.05, 0.55), (0.3, 0.8)])
+    def test_event_loop(self, down, up):
+        procs = [ScdNode(pid, 3, [f"m{pid}"], expected=3) for pid in range(3)]
+        result = run_processes(
+            procs,
+            crashes=[CrashAt(0, down), RecoverAt(0, up)],
+            delay_model=UniformDelay(0.1, 1.0),
+            seed=1,
+            quiesce_when_decided=False,
+        )
+        assert result.recovered == {0}
+        self.assert_bound_to_itself(procs[0])
+
+    def test_explorer(self):
+        model = AmpModel(
+            make_scd_nodes([["a"], ["b"], []]), max_crashes=1, allow_recovery=True
+        )
+        prefix = (("crash", 2), ("recover", 2))
+        delivery = next(
+            c for c in model.enabled(prefix) if c[0] == "deliver" and c[2] == 2
+        )
+        self.assert_bound_to_itself(model.processes(prefix + (delivery,))[2])
 
 
 # -- the three protocol demos: broken volatile, repaired durable ------------

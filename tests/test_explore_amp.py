@@ -205,6 +205,13 @@ class TestLinkFaultExploration:
         # The clone is independently deliverable (new seq, same dst).
         assert sum(1 for c in enabled if c[0] == "deliver") == 3
 
+    def test_first_choice_loss_replays_identically(self):
+        """The explorer's loss comes a tick after its send, with nothing
+        recorded in between; replay must write the drop at that tick,
+        not take it for the event loop's inline loss at the send's."""
+        model = AmpModel(make_flood_min([1, 0]), max_losses=1)
+        assert model.counterexample((("lose", 1, 0),)).replays_identically()
+
     def test_no_fault_budgets_means_no_fault_choices(self):
         model = AmpModel(make_flood_min([1, 0]))
         choices = model.enabled(model.initial())

@@ -10,8 +10,10 @@ import random
 
 import pytest
 
+from repro.amp import HeartbeatOmega, PartialSynchronyDelay, make_replicated_machine
 from repro.amp.consensus.benor import make_benor
 from repro.amp.network import AsyncProcess, AsyncRuntime, CrashAt, UniformDelay
+from repro.core.seqspec import counter_spec
 from repro.shm.runtime import Runtime, make_registers, read, write
 from repro.shm.schedulers import CrashAfterScheduler, RandomScheduler
 from repro.trace import (
@@ -91,6 +93,38 @@ class TestAmpReplayDeterminism:
         result = runtime.run()
         assert result.crashed == original.crashed
         assert result.outputs == original.outputs
+
+    def test_heartbeat_detector_replays(self):
+        """A heartbeat detector trusts whoever it heard from lately, so
+        replay must route each delivery through the hook it wraps."""
+        n = 3
+
+        def replicas():
+            commands = [[("increment", (10**pid,))] for pid in range(n)]
+            return make_replicated_machine(
+                n, 1, counter_spec, commands, poll_interval=1.0
+            )
+
+        sink = MemorySink()
+        original = AsyncRuntime(
+            replicas(),
+            delay_model=PartialSynchronyDelay(gst=6.0, delta=1.0, chaos_max=4.0),
+            failure_detector=HeartbeatOmega(n, timeout=5.0),
+            crashes=[CrashAt(0, 3.0)],
+            max_crashes=1,
+            seed=9,
+            sink=sink,
+        ).run()
+        replay_sink = MemorySink()
+        replayed = replay(
+            replicas(),
+            sink.events,
+            seed=9,
+            failure_detector=HeartbeatOmega(n, timeout=5.0),
+            sink=replay_sink,
+        )
+        assert trace_hash(replay_sink.events) == trace_hash(sink.events)
+        assert replayed == original
 
     def test_decisions_helper_matches_result(self, trace_artifact):
         n, t, inputs, original, events = capture_benor(5)
