@@ -510,30 +510,58 @@ class AsyncRuntime:
         sanitize: bool = False,
         link_model: Optional[LinkModel] = None,
     ) -> None:
-        self.n = len(processes)
-        if self.n < 1:
-            raise ConfigurationError("need n >= 1 processes")
-        self.processes = list(processes)
+        self._init_state(processes, seed, sink, failure_detector, max_crashes, crashes)
         self.delay_model = delay_model or FixedDelay(1.0)
         self.link_model = link_model or ReliableLink()
-        self.max_crashes = max_crashes
-        self._validate_schedule(crashes)
-        self.failure_detector = failure_detector
         self._rng = random.Random(seed)
-        self._proc_rngs: Dict[int, random.Random] = {}
-        self._seed = seed
         self.max_events = max_events
         self.strict_budget = strict_budget
         self.quiesce_when_decided = quiesce_when_decided
         self._sanitize = sanitize
+        self._event_seq = itertools.count()
+        self._queue: List[Tuple[float, int, str, tuple]] = []
+        #: event ids of queued entries the loop must skip (crash drops);
+        #: an id leaves the set when its entry is popped.
+        self._cancelled: Set[int] = set()
+        for entry in crashes:
+            if isinstance(entry, RecoverAt):
+                if entry.pid not in self._initial_state:
+                    self._initial_state[entry.pid] = self._snapshot(entry.pid)
+                self._pending_recoveries[entry.pid] = (
+                    self._pending_recoveries.get(entry.pid, 0) + 1
+                )
+                self._push(entry.time, "recover", (entry.pid,))
+            else:
+                self._push(entry.time, "crash", (entry.pid, entry.drop_in_flight))
+
+    def _init_state(
+        self,
+        processes: Sequence[AsyncProcess],
+        seed: int,
+        sink: Optional["TraceSink"],
+        failure_detector: Optional[object],
+        max_crashes: Optional[int] = None,
+        crashes: Sequence[object] = (),
+    ) -> None:
+        """The state every runtime steps: processes and their contexts,
+        RNGs, storages, crash sets, counters and recovery snapshots.  The
+        event loop's delay and link models, root RNG and heap are built
+        by ``__init__`` alone."""
+        self.n = len(processes)
+        if self.n < 1:
+            raise ConfigurationError("need n >= 1 processes")
+        self.processes = list(processes)
+        self.max_crashes = max_crashes
+        self._validate_schedule(crashes)
+        self.failure_detector = failure_detector
+        self._proc_rngs: Dict[int, random.Random] = {}
+        self._seed = seed
         self._sink = sink
         if sink is not None:
             sink.bind(self.n)
 
         self.now = 0.0
         self._started = False
-        self._event_seq = itertools.count()
-        self._queue: List[Tuple[float, int, str, tuple]] = []
         self.contexts = [Context(self, pid) for pid in range(self.n)]
         self.crashed: Set[int] = set()
         self.recovered: Set[int] = set()
@@ -550,24 +578,10 @@ class AsyncRuntime:
         self.payload_sent = 0
         self.payload_delivered = 0
         self.decision_times: Dict[int, float] = {}
-        #: event ids of queued entries the loop must skip (crash drops);
-        #: an id leaves the set when its entry is popped.
-        self._cancelled: Set[int] = set()
-
         # Volatile-state snapshots for pids that may recover: recovery
         # restores the *constructed* in-memory state, wiping everything
         # the incarnation mutated since __init__.
         self._initial_state: Dict[int, dict] = {}
-        for entry in crashes:
-            if isinstance(entry, RecoverAt):
-                if entry.pid not in self._initial_state:
-                    self._initial_state[entry.pid] = self._snapshot(entry.pid)
-                self._pending_recoveries[entry.pid] = (
-                    self._pending_recoveries.get(entry.pid, 0) + 1
-                )
-                self._push(entry.time, "recover", (entry.pid,))
-            else:
-                self._push(entry.time, "crash", (entry.pid, entry.drop_in_flight))
 
     def _validate_schedule(self, crashes: Sequence[object]) -> None:
         timeline: Dict[int, List[Tuple[float, str]]] = {}
@@ -918,6 +932,10 @@ class DrivenRuntime(AsyncRuntime):
     A step naming a missing send or timer, or a dead process, raises
     :attr:`divergence`.  ``recoverable`` names the pids whose
     constructed state :meth:`recover` restores.
+
+    It builds none of the event loop's state (delay and link models, root
+    RNG, heap, cancel set): the explorer starts one per materialized
+    prefix.
     """
 
     divergence = ConfigurationError
@@ -930,9 +948,7 @@ class DrivenRuntime(AsyncRuntime):
         failure_detector: Optional[object] = None,
         recoverable: Iterable[int] = (),
     ) -> None:
-        super().__init__(
-            processes, failure_detector=failure_detector, seed=seed, sink=sink
-        )
+        self._init_state(processes, seed, sink, failure_detector)
         #: send_seq → (src, dst, payload, units), undelivered copies
         self.pending: Dict[int, Tuple[int, int, object, int]] = {}
         #: timer_seq → (pid, name), unfired timers

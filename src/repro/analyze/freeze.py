@@ -102,12 +102,21 @@ _block_all(
 
 
 class FrozenSetView(set):
-    """A set whose mutators raise :class:`FrozenMutationError`."""
+    """A set whose mutators raise :class:`FrozenMutationError`.
+
+    It prints as a plain set does, as :class:`FrozenList` and
+    :class:`FrozenDict` print as their builtins, so a sanitized run
+    records the payload text an unsanitized replay re-issues.
+    """
 
     __slots__ = ()
 
     def __reduce__(self):
         return (FrozenSetView, (set(self),))
+
+    def __repr__(self) -> str:
+        # set.__repr__ would prefix the subclass name.
+        return "{" + repr(list(self))[1:-1] + "}" if self else "set()"
 
 
 _block_all(

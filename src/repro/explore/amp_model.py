@@ -22,17 +22,35 @@ per choice, at one tick of virtual time each; a choice is one of:
 
 Processes are mutable Python objects and cannot be forked, so the
 search is **stateless**: a configuration is the schedule prefix itself,
-re-executed from fresh ``factory()`` instances on demand (with a small
-materialization cache), and the visited-set fingerprint is a canonical
-digest of process attributes, contexts, the crashed set, and the
-pending message/timer multisets — two prefixes that converge to the
-same global state dedup even though their schedules differ.
+re-executed from fresh ``factory()`` instances on demand.  The model
+keeps only the prefix it materialized last: every engine asks all it
+needs about a prefix (fingerprint, properties, enabled choices) right
+after materializing it.
+
+The visited-set fingerprint is a sha256 over a canonical rendering of
+the global state: each process's attributes, context and RNG, then the
+crashed and recovered sets, the loss/duplication budgets, the stable
+storages and the pending message/timer multisets — two prefixes that
+converge to the same global state dedup even though their schedules
+differ.  The rendering is assembled from per-process parts and the
+shared parts (everything after the processes).  The per-process parts
+of expanded configurations are kept for one BFS level (one per depth
+along a DFS path or a random walk).  A child re-renders only the
+process its last choice targets (none for ``lose``/``dup``) and the
+shared parts, and takes the others from its parent; without the
+parent's parts it renders every process.  The digest is the same either
+way.
 
 Independence: two choices commute iff they touch different target
 processes (handlers only mutate their own process; new sends land in
 the pending *multiset*, which ignores order).  Crash choices are
 conservatively dependent on each other (a crash budget makes one crash
-disable another).
+disable another).  The incremental fingerprint rests on the same
+contract: a step mutates only its target process.  Processes that share
+a mutable object break it; explore SCD object nodes with
+``history=None``, since a shared
+:class:`~repro.core.history.History` is mutated by every node (and its
+address-bearing ``repr`` defeats dedup anyway).
 
 Counterexamples record the schedule through a sink-instrumented run and
 replay it byte-identically via :func:`repro.trace.replay.replay`, which
@@ -42,7 +60,6 @@ drives the same runtime class from the recorded events.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..amp.network import AsyncProcess, DrivenRuntime
@@ -90,8 +107,6 @@ class AmpModel(ExplorationModel):
     """
 
     kernel = "amp"
-    #: materialized prefixes kept, least recently used evicted first
-    _CACHE_SIZE = 8
 
     def __init__(
         self,
@@ -118,7 +133,13 @@ class AmpModel(ExplorationModel):
         self.stop_when_settled = stop_when_settled
         self.n = len(list(factory()))
         self._intern = Interner()
-        self._cache: "OrderedDict[Prefix, DrivenRuntime]" = OrderedDict()
+        #: the prefix materialized last, its runtime, and (once rendered)
+        #: its per-pid fingerprint parts
+        self._slot_prefix: Optional[Prefix] = None
+        self._slot_runtime: Optional[DrivenRuntime] = None
+        self._slot_parts: Optional[List[str]] = None
+        #: depth → {expanded prefix: its per-pid parts}; see _keep_parts
+        self._levels: List[Dict[Prefix, List[str]]] = []
 
     # -- stateless materialization ----------------------------------------
 
@@ -131,8 +152,12 @@ class AmpModel(ExplorationModel):
             list(self.factory()),
             seed=self.seed,
             sink=sink,
-            # Any live process may crash and then recover in the search.
-            recoverable=range(self.n) if self.allow_recovery else (),
+            # Snapshot the constructed state only of pids this run recovers.
+            recoverable=(
+                {choice[1] for choice in schedule if choice[0] == "recover"}
+                if self.allow_recovery
+                else ()
+            ),
         )
         runtime.start()
         for choice in schedule:
@@ -162,14 +187,63 @@ class AmpModel(ExplorationModel):
         return runtime
 
     def _materialize(self, prefix: Prefix) -> DrivenRuntime:
-        runtime = self._cache.get(prefix)
-        if runtime is not None:
-            self._cache.move_to_end(prefix)
-            return runtime
-        runtime = self._cache[prefix] = self._run(prefix)
-        if len(self._cache) > self._CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return runtime
+        if prefix != self._slot_prefix:
+            self._slot_runtime = self._run(prefix)
+            self._slot_prefix = prefix
+            self._slot_parts = None
+        return self._slot_runtime
+
+    # -- fingerprint parts ---------------------------------------------------
+
+    def _render_pid(self, runtime: DrivenRuntime, pid: int) -> str:
+        """``pid``'s entries of the fingerprint's parts list, as they
+        appear inside its ``repr``."""
+        process = sorted(
+            (k, repr(v)) for k, v in vars(runtime.processes[pid]).items()
+        )
+        ctx = runtime.contexts[pid]
+        text = f"{process!r}, {(ctx.decided, repr(ctx.output), ctx.halted)!r}"
+        rng = runtime._proc_rngs.get(pid)
+        if rng is not None:
+            text += f", {repr(rng.getstate())!r}"
+        return text
+
+    def _pid_parts(self, prefix: Prefix, runtime: DrivenRuntime) -> List[str]:
+        """Every pid's rendered parts after ``prefix``: the parent's, with
+        the last choice's target re-rendered, when the parent was kept."""
+        parts = self._slot_parts
+        if parts is not None:
+            return parts
+        levels = self._levels
+        depth = len(prefix) - 1
+        parent = levels[depth].get(prefix[:-1]) if 0 <= depth < len(levels) else None
+        if parent is None:
+            parts = [self._render_pid(runtime, pid) for pid in range(self.n)]
+        else:
+            parts = list(parent)
+            choice = prefix[-1]
+            if choice[0] not in ("lose", "dup"):  # those touch no process
+                pid = choice[-1]
+                parts[pid] = self._render_pid(runtime, pid)
+        self._slot_parts = parts
+        return parts
+
+    def _keep_parts(self, prefix: Prefix, parts: List[str]) -> None:
+        """Keep an expanded prefix's parts for its children.
+
+        Levels deeper than the prefix are dropped (a DFS backtracked, a
+        walk restarted).  When a level is first entered, the level two
+        above keeps only its newest entry: BFS needs none of it any
+        more, and under DFS the newest entry is the current path's.
+        """
+        depth = len(prefix)
+        levels = self._levels
+        del levels[depth + 1:]
+        if depth == len(levels) and depth >= 2 and len(levels[depth - 2]) > 1:
+            levels[depth - 2] = dict([levels[depth - 2].popitem()])
+        while len(levels) <= depth:
+            levels.append({})
+        levels[depth][prefix] = parts
 
     # -- the model contract ------------------------------------------------
 
@@ -204,6 +278,8 @@ class AmpModel(ExplorationModel):
             for pid in sorted(runtime.crashed):
                 if pid not in runtime.recovered:
                     choices.append(("recover", pid))
+        if choices:  # an expansion: the children will look for its parts
+            self._keep_parts(prefix, self._pid_parts(prefix, runtime))
         return choices
 
     def step(self, prefix: Prefix, choice: Choice) -> Prefix:
@@ -211,34 +287,29 @@ class AmpModel(ExplorationModel):
 
     def fingerprint(self, prefix: Prefix) -> str:
         runtime = self._materialize(prefix)
-        parts: List[object] = []
-        for pid in range(self.n):
-            parts.append(sorted(
-                (k, repr(v)) for k, v in vars(runtime.processes[pid]).items()
-            ))
-            ctx = runtime.contexts[pid]
-            parts.append((ctx.decided, repr(ctx.output), ctx.halted))
-            rng = runtime._proc_rngs.get(pid)
-            if rng is not None:
-                parts.append(repr(rng.getstate()))
-        parts.append(sorted(runtime.crashed))
-        parts.append(sorted(runtime.recovered))
-        parts.append((runtime.losses, runtime.duplicated))
-        parts.append([
+        shared = [
+            sorted(runtime.crashed),
+            sorted(runtime.recovered),
+            (runtime.losses, runtime.duplicated),
+            [
+                sorted(
+                    (repr(k), repr(v))
+                    for k, v in runtime.storages[pid].snapshot().items()
+                )
+                for pid in range(self.n)
+            ],
             sorted(
-                (repr(k), repr(v))
-                for k, v in runtime.storages[pid].snapshot().items()
-            )
-            for pid in range(self.n)
-        ])
-        parts.append(sorted(
-            (src, dst, repr(payload))
-            for (src, dst, payload, _) in runtime.pending.values()
-        ))
-        parts.append(sorted(
-            (pid, repr(name)) for (pid, name) in runtime.pending_timers.values()
-        ))
-        digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+                (src, dst, repr(payload))
+                for (src, dst, payload, _) in runtime.pending.values()
+            ),
+            sorted(
+                (pid, repr(name)) for (pid, name) in runtime.pending_timers.values()
+            ),
+        ]
+        pids = ", ".join(self._pid_parts(prefix, runtime))
+        # The repr of one list: every pid's parts, then the shared parts.
+        text = f"[{pids}, {repr(shared)[1:-1]}]"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._intern(digest)
 
     def processes(self, prefix: Prefix) -> List[AsyncProcess]:
@@ -246,8 +317,8 @@ class AmpModel(ExplorationModel):
 
         Read-only by contract: properties inspect protocol state the
         processes expose (delivery histories, views) beyond the bare
-        ``decisions`` map.  Mutating them would corrupt the prefix
-        cache.
+        ``decisions`` map.  Mutating them would corrupt the materialized
+        prefix and the fingerprint parts kept for its children.
         """
         return list(self._materialize(prefix).processes)
 

@@ -1,5 +1,6 @@
 """Tests for the asynchronous message-passing simulator (paper §5.1)."""
 
+import hashlib
 import heapq
 import importlib
 import random
@@ -26,7 +27,16 @@ from repro.amp import (
     run_processes,
 )
 from repro.amp.network import DrivenRuntime
-from repro.explore import AmpModel
+from repro.explore import (
+    BFS,
+    DFS,
+    AmpModel,
+    RandomWalk,
+    explore,
+    make_flood_min,
+    make_quorum_commit,
+    make_scd_nodes,
+)
 from repro.trace import MemorySink, replay, trace_hash
 
 
@@ -896,3 +906,202 @@ class TestExplorerReplayRoundTrip:
                 break
             walk += (data.draw(st.sampled_from(choices)),)
         assert model.counterexample(walk).replays_identically()
+
+
+# ---------------------------------------------------------------------------
+# Lockstep test of the incremental explorer fingerprint
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceAmpModel(AmpModel):
+    """``AmpModel`` before per-pid fingerprint parts: every fingerprint
+    renders every process.  Kept verbatim as the reference the
+    incremental digest must match byte for byte."""
+
+    def fingerprint(self, prefix):
+        runtime = self._materialize(prefix)
+        parts = []
+        for pid in range(self.n):
+            parts.append(sorted(
+                (k, repr(v)) for k, v in vars(runtime.processes[pid]).items()
+            ))
+            ctx = runtime.contexts[pid]
+            parts.append((ctx.decided, repr(ctx.output), ctx.halted))
+            rng = runtime._proc_rngs.get(pid)
+            if rng is not None:
+                parts.append(repr(rng.getstate()))
+        parts.append(sorted(runtime.crashed))
+        parts.append(sorted(runtime.recovered))
+        parts.append((runtime.losses, runtime.duplicated))
+        parts.append([
+            sorted(
+                (repr(k), repr(v))
+                for k, v in runtime.storages[pid].snapshot().items()
+            )
+            for pid in range(self.n)
+        ])
+        parts.append(sorted(
+            (src, dst, repr(payload))
+            for (src, dst, payload, _) in runtime.pending.values()
+        ))
+        parts.append(sorted(
+            (pid, repr(name)) for (pid, name) in runtime.pending_timers.values()
+        ))
+        digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+        return self._intern(digest)
+
+
+class _LockstepAmpModel(AmpModel):
+    """Checks each fingerprint against the reference on the same
+    materialized prefix, counts the prefixes whose parent's parts were
+    missing (every pid rendered) and records the kept levels' sizes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+        self.misses = 0
+        self.renders = 0
+        self.level_sizes = []
+        self.widest = 0
+
+    def enabled(self, prefix):
+        choices = super().enabled(prefix)
+        self.widest = max(self.widest, len(choices))
+        return choices
+
+    def _render_pid(self, runtime, pid):
+        self.renders += 1
+        return super()._render_pid(runtime, pid)
+
+    def _pid_parts(self, prefix, runtime):
+        before = self.renders
+        parts = super()._pid_parts(prefix, runtime)
+        if prefix and self.renders - before == self.n:
+            self.misses += 1
+        return parts
+
+    def _keep_parts(self, prefix, parts):
+        super()._keep_parts(prefix, parts)
+        self.level_sizes.append([len(level) for level in self._levels])
+
+    def fingerprint(self, prefix):
+        digest = super().fingerprint(prefix)
+        assert digest == _ReferenceAmpModel.fingerprint(self, prefix), prefix
+        self.checked += 1
+        return digest
+
+
+class _Tossing(Scripted):
+    """``Scripted`` that draws from its RNG before each action, so the
+    fingerprint carries that RNG's state."""
+
+    def _act(self, ctx):
+        if self.step < len(self.script):
+            ctx.random().random()
+        super()._act(ctx)
+
+
+_STRATEGIES = {
+    "bfs": lambda: BFS(max_states=150),
+    "dfs": lambda: DFS(max_states=150),
+    "walk": lambda: RandomWalk(walks=12, max_depth=12, seed=5),
+}
+
+
+class TestIncrementalFingerprint:
+    """The digest assembled from kept per-pid parts equals the full
+    render on every prefix every engine fingerprints; serial engines
+    always find the parent's parts, and the kept levels stay bounded."""
+
+    @staticmethod
+    def _check_levels(model, strategy):
+        for sizes in model.level_sizes:
+            if strategy == "bfs":
+                # Two BFS levels, plus the newest entry of each older one.
+                assert all(size <= 1 for size in sizes[:-2])
+            elif strategy == "dfs":
+                # Each level: expanded children of the path's state above.
+                assert max(sizes) <= model.widest
+            else:
+                assert all(size <= 1 for size in sizes)  # one walk's path
+
+    @pytest.mark.parametrize("strategy", sorted(_STRATEGIES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scripts=st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.booleans(), st.lists(_timed_actions, max_size=4)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        settled=st.booleans(),
+    )
+    def test_matches_full_render(self, strategy, scripts, settled):
+        model = _LockstepAmpModel(
+            lambda: [
+                (_Tossing if toss else Scripted)(script) for toss, script in scripts
+            ],
+            max_crashes=1,
+            allow_recovery=True,
+            max_losses=1,
+            max_duplications=1,
+            stop_when_settled=settled,
+        )
+        explore(model, strategy=_STRATEGIES[strategy](), reduce=False)
+        assert model.checked > 0
+        assert model.misses == 0
+        self._check_levels(model, strategy)
+
+    #: name -> (factory, model budgets, max_states); the budgets of the
+    #: first and the last two exceed their state counts (104, 1,072 and
+    #: 592), so those searches are exhaustive, and every budget bounds the
+    #: search when a wrong digest defeats dedup.
+    _CASES = {
+        "scd-crash": (make_scd_nodes([["a"], [], []]), dict(max_crashes=1), 2_000),
+        "scd-recovery": (
+            make_scd_nodes([["a"], [], []]),
+            dict(max_crashes=1, allow_recovery=True),
+            400,
+        ),
+        "flood-min-recovery": (
+            make_flood_min([3, 1, 2]),
+            dict(max_crashes=1, allow_recovery=True),
+            600,
+        ),
+        "flood-min-links": (
+            make_flood_min([3, 1, 2]),
+            dict(max_losses=1, max_duplications=1),
+            600,
+        ),
+        "quorum-commit-volatile": (
+            make_quorum_commit(durable=False),
+            dict(max_crashes=1, allow_recovery=True),
+            2_000,
+        ),
+        "quorum-commit-durable": (
+            make_quorum_commit(durable=True),
+            dict(max_crashes=1, allow_recovery=True),
+            2_000,
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", ["bfs", "dfs", "walk", "workers=2"])
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_protocols(self, case, engine):
+        factory, budgets, max_states = self._CASES[case]
+        model = _LockstepAmpModel(factory, **budgets)
+        if engine == "walk":
+            walks = RandomWalk(walks=30, max_depth=14, seed=2, max_states=max_states)
+            explore(model, strategy=walks)
+        elif engine == "workers=2":
+            # A worker's failed check reruns the search in-process, where
+            # it fails again.
+            explore(model, strategy=BFS(max_states), reduce=False, workers=2)
+        else:
+            strategy = (BFS if engine == "bfs" else DFS)(max_states)
+            explore(model, strategy=strategy, reduce=False)
+        if engine != "workers=2":
+            assert model.checked > 0
+            assert model.misses == 0
+            self._check_levels(model, engine)

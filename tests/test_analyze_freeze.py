@@ -87,6 +87,13 @@ def test_frozen_set_view_blocks_every_mutator():
         frozen |= {4}
 
 
+@pytest.mark.parametrize("value", [set(), {1, 2}, {"a", (1, "b")}, {frozenset({3})}])
+def test_frozen_containers_print_as_builtins(value):
+    # Traces record payload reprs: sanitized and plain runs must agree.
+    for source in (value, [value], {"k": value}):
+        assert repr(deep_freeze(source)) == repr(source)
+
+
 def test_freeze_is_deep_and_source_untouched():
     source = {"xs": [1, [2]], "tags": {1, 2}}
     frozen = deep_freeze(source)

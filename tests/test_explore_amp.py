@@ -266,6 +266,16 @@ class TestRecoveryExploration:
         state = model.step(state, ("crash", 0))
         assert not any(c[0] == "recover" for c in model.enabled(state))
 
+    def test_only_recovering_pids_are_snapshotted(self):
+        # A recovery snapshot deep-copies a process: take one only for
+        # the pids the materialized schedule brings back.
+        model = AmpModel(
+            make_quorum_commit(durable=False), max_crashes=1, allow_recovery=True
+        )
+        assert model._run((("crash", 1),))._initial_state == {}
+        recovered = model._run((("crash", 0), ("recover", 0)))
+        assert set(recovered._initial_state) == {0}
+
     def test_volatile_quorum_state_violates_agreement_under_recovery(self):
         """The acceptance demo: a memory-only one-vote acceptor grants
         twice across a crash-recovery cycle; the explorer exhibits a

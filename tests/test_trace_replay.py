@@ -126,6 +126,26 @@ class TestAmpReplayDeterminism:
         assert trace_hash(replay_sink.events) == trace_hash(sink.events)
         assert replayed == original
 
+    def test_sanitized_set_payload_replays(self):
+        """A sanitized run records frozen payloads; a frozen set prints
+        as the plain set the unsanitized replay re-issues."""
+
+        class SetBroadcaster(AsyncProcess):
+            def on_start(self, ctx):
+                ctx.broadcast([ctx.pid, {"k": {1, 2}}])
+
+        sink = MemorySink()
+        original = AsyncRuntime(
+            [SetBroadcaster() for _ in range(3)], sanitize=True, sink=sink
+        ).run()
+        assert sink.events[0].data["payload"] == "[0, {'k': {1, 2}}]"
+        replay_sink = MemorySink()
+        replayed = replay(
+            [SetBroadcaster() for _ in range(3)], sink.events, sink=replay_sink
+        )
+        assert trace_hash(replay_sink.events) == trace_hash(sink.events)
+        assert replayed == original
+
     def test_decisions_helper_matches_result(self, trace_artifact):
         n, t, inputs, original, events = capture_benor(5)
         replayed = replay(
