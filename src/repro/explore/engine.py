@@ -1,7 +1,17 @@
 """The bounded search engine: dedup, sleep sets, budgets, verdicts.
 
-One loop serves both exhaustive strategies (BFS/DFS differ only in
-which end of the frontier they pop).  Two reductions keep it tractable:
+Everything that happens at one visited state lives in one place,
+:class:`SearchCore`: the visited-set dedup, the ``on_state`` and
+``on_terminal`` property checks, sleep-set filtering, Godefroid's
+revisit wake-up, the depth cut and the children's sleep sets.  The core
+owns the visited store (and its disk spill) and the
+:class:`ExploreStats`.  Every engine runs on it and differs only in its
+frontier: the serial :class:`Explorer` pops one deque (BFS and DFS
+differ only in which end), and the sharded engine
+(:mod:`repro.explore.sharded`, reached via ``explore(..., workers=N)``)
+runs one core per shard, level by level, routing each child to the
+shard that owns its fingerprint.  Two reductions keep the search
+tractable:
 
 * **visited-set dedup** — configurations are keyed by their canonical
   fingerprint (interned, hash-consing style); a revisited state is not
@@ -23,16 +33,11 @@ which end of the frontier they pop).  Two reductions keep it tractable:
   models (docs/EXPLORER.md, "The stability caveat").
 
 Properties (:mod:`repro.explore.properties`) are checked once per
-unique state; the first violation's schedule is materialized into a
-replayable :class:`~repro.explore.counterexample.Counterexample`.
-
-The dedup/revisit rule and the child-sleep computation are factored
-into :class:`VisitedStore` and :func:`child_sleep_set` — the seams the
-sharded engine (:mod:`repro.explore.sharded`, reached via
-``explore(..., workers=N)``) shares with this loop, so the serial and
-parallel searches cannot drift apart.  ``spill_dir=`` swaps the
-visited backing for a disk-spilling LRU store
-(:class:`~repro.explore.spill.SpillDict`).
+unique state.  Under ``stop_on_first`` a state that fails one is not
+expanded, in every engine.  Each violation's schedule is materialized
+into a replayable :class:`~repro.explore.counterexample.Counterexample`
+when the search ends.  ``spill_dir=`` swaps the visited backing for a
+disk-spilling LRU store (:class:`~repro.explore.spill.SpillDict`).
 
 :func:`state_graph` is the unreduced enumeration (config →
 successors), kept for clients that need the whole graph — the
@@ -41,11 +46,13 @@ bivalence/valence analyses of :mod:`repro.shm.bivalence` run on it.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -61,6 +68,16 @@ from .counterexample import Counterexample
 from .model import Choice, Config, ExplorationModel, Interner
 from .properties import Property
 from .strategies import BFS, DFS, RandomWalk, Strategy
+
+_EMPTY: FrozenSet[Choice] = frozenset()
+
+#: A property failure as the core records it: (property index, property
+#: name, message, schedule).  The index lets the sharded engine's
+#: canonical pick follow the user's property order.
+RawViolation = Tuple[int, str, str, Tuple[Choice, ...]]
+
+#: A child as the core hands it to its engine: (config, schedule, sleep).
+Child = Tuple[Config, Tuple[Choice, ...], FrozenSet[Choice]]
 
 
 @dataclass
@@ -86,9 +103,9 @@ class ExploreStats:
 
         Counters add; ``max_depth_seen`` and ``elapsed`` take the max —
         shard workers run concurrently, so summing their wall clocks
-        would double-count time.  Used by the sharded engine to combine
-        per-shard deltas; the fold is order-insensitive, so the merged
-        result is identical at any worker count.
+        would double-count time.  The sharded engine folds its shards'
+        stats with it at every barrier; the fold is order-insensitive,
+        so the merged result is identical at any worker count.
         """
         self.states += other.states
         self.transitions += other.transitions
@@ -114,9 +131,7 @@ class VisitedStore:
     """The dedup seam: fingerprint → stored sleep set, with the revisit rule.
 
     Encapsulates the one stateful decision of the search — *have we been
-    here, and with which sleep set?* — so the serial engine, the sharded
-    per-shard workers, and the disk-spill backend all share one
-    implementation of Godefroid's state-caching fix:
+    here, and with which sleep set?* — Godefroid's state-caching fix:
 
     * first visit: store the sleep set, explore ``enabled - sleep``;
     * revisit with a smaller sleep set: the stored-minus-new choices
@@ -164,17 +179,15 @@ def child_sleep_set(
     executed: Sequence[Choice],
     choice: Choice,
 ) -> FrozenSet[Choice]:
-    """The sleep set a child inherits (the other half of the seam).
+    """The sleep set a child inherits.
 
     A sibling choice stays asleep in ``choice``'s child iff it commutes
     with ``choice`` from here — both orders reach the same state, and
     the other order is (or will be) explored from a sibling branch.
-    Shared verbatim by the serial and sharded engines so the reduction
-    cannot drift between them.
     """
     return frozenset(
         other
-        for other in (set(sleep) | set(executed))
+        for other in sleep.union(executed)
         if model.independent(config, other, choice)
     )
 
@@ -195,6 +208,26 @@ class Violation:
         else:
             lines.append(f"  schedule: {list(self.schedule)!r}")
         return "\n".join(lines)
+
+
+def build_violations(
+    model: ExplorationModel, raws: Iterable[RawViolation]
+) -> List[Violation]:
+    """Materialize recorded failures, each with a replayable counterexample.
+
+    Only the schedule is recorded during the search (it is all that
+    crosses a shard worker's process boundary); the counterexample is
+    rebuilt here from the caller's own model, so counterexamples from
+    every engine replay byte-identically.
+    """
+    violations = []
+    for _, name, message, schedule in raws:
+        try:
+            counterexample = model.counterexample(schedule)
+        except ConfigurationError:
+            counterexample = None
+        violations.append(Violation(name, message, schedule, counterexample))
+    return violations
 
 
 @dataclass
@@ -218,6 +251,140 @@ class ExploreResult:
             + (f", {rate:,.0f} states/s" if rate > 0 else "")
         )
         return "\n".join([head] + [v.report() for v in self.violations])
+
+
+class SearchCore:
+    """What happens at one visited state, for every engine.
+
+    Owns the visited store (spilled to ``spill_path`` when given), the
+    :class:`ExploreStats` and the recorded violations.  An engine feeds
+    it frontier entries through :meth:`expand` and decides only where
+    the children go (the ``push`` it passes) and in which order they
+    come back.
+
+    ``max_states`` is checked at each first visit, before the state's
+    properties; the sharded engine leaves it unbounded and checks the
+    global count at its barriers instead.  ``cut`` records that the
+    depth bound dropped branches, so the verdict is bounded.
+    """
+
+    def __init__(
+        self,
+        model: ExplorationModel,
+        properties: Sequence[Property],
+        reduce: bool = True,
+        stop_on_first: bool = True,
+        max_depth: Optional[int] = None,
+        max_states: float = math.inf,
+        spill_path: Optional[str] = None,
+        spill_entries: int = 200_000,
+    ) -> None:
+        self.model = model
+        self.properties = list(properties)
+        self.reduce = reduce
+        self.stop_on_first = stop_on_first
+        self.max_depth = max_depth
+        self.max_states = max_states
+        self.backing = None
+        if spill_path is not None:
+            from .spill import SpillDict
+
+            os.makedirs(os.path.dirname(spill_path), exist_ok=True)
+            self.backing = SpillDict(spill_path, max_entries=spill_entries)
+        #: fingerprint → the sleep set this state was (last) expanded with.
+        self.visited = VisitedStore(self.backing)
+        self.intern = Interner()
+        self.stats = ExploreStats()
+        self.violations: List[RawViolation] = []
+        self.cut = False
+
+    def check(
+        self, config: Config, schedule: Tuple[Choice, ...], terminal: bool = False
+    ) -> bool:
+        """Run the ``on_state`` (or ``on_terminal``) checks; True when
+        the search must stop."""
+        model = self.model
+        for prop in self.properties:
+            if terminal:
+                message = prop.on_terminal(model, config)
+            else:
+                message = prop.on_state(model, config)
+            if message is not None:
+                # Looked up on a failure only: this loop runs at every state.
+                index = self.properties.index(prop)
+                self.violations.append((index, prop.name, message, schedule))
+                if self.stop_on_first:
+                    return True
+        return False
+
+    def expand(
+        self,
+        fingerprint: Hashable,
+        config: Config,
+        schedule: Tuple[Choice, ...],
+        sleep: FrozenSet[Choice],
+        push: Callable[[Child], None],
+    ) -> bool:
+        """Visit one frontier entry and ``push`` each child to explore.
+
+        Returns False when the search stops at this state: it is over
+        the state budget, or it failed a property under
+        ``stop_on_first`` (and is not expanded).  Without the reduction
+        every sleep set is empty, so the filters below keep every
+        choice.
+        """
+        model, stats = self.model, self.stats
+        depth = len(schedule)
+        if depth > stats.max_depth_seen:
+            stats.max_depth_seen = depth
+        first, wake = self.visited.visit(fingerprint, sleep)
+        if first:
+            if len(self.visited) > self.max_states or self.check(config, schedule):
+                return False
+            enabled = model.enabled(config)
+            if not enabled:
+                stats.terminals += 1
+                return not self.check(config, schedule, terminal=True)
+            to_explore = [c for c in enabled if c not in sleep]
+            stats.sleep_pruned += len(enabled) - len(to_explore)
+        elif wake:
+            # Revisit with a smaller sleep set: the choices slept on the
+            # first visit but awake now must be explored, or the
+            # reduction would miss their futures (VisitedStore.visit).
+            to_explore = [c for c in model.enabled(config) if c in wake]
+        else:
+            stats.deduped += 1
+            return True
+
+        if self.max_depth is not None and depth >= self.max_depth:
+            if to_explore:
+                self.cut = True
+            return True
+
+        reduce = self.reduce
+        executed: List[Choice] = []
+        for choice in to_explore:
+            push((
+                model.step(config, choice),
+                schedule + (choice,),
+                child_sleep_set(model, config, sleep, executed, choice)
+                if reduce else _EMPTY,
+            ))
+            executed.append(choice)
+        stats.transitions += len(executed)
+        return True
+
+    def totals(self) -> ExploreStats:
+        """The stats so far, with the state and spill counts read off
+        the visited store."""
+        self.stats.states = len(self.visited)
+        if self.backing is not None:
+            self.stats.spilled = self.backing.spilled
+        return self.stats
+
+    def close(self) -> None:
+        if self.backing is not None:
+            self.backing.close()
 
 
 class Explorer:
@@ -244,7 +411,8 @@ class Explorer:
         When set, back the visited set with a
         :class:`~repro.explore.spill.SpillDict` in this directory so the
         search is no longer RAM-bound (``spill_entries`` caps the hot
-        cache).  Evictions show up as ``stats.spilled``.
+        cache).  Evictions show up as ``stats.spilled``.  Exhaustive
+        strategies only: a random walk keeps no visited set to spill.
     """
 
     def __init__(
@@ -264,6 +432,11 @@ class Explorer:
         self.stop_on_first = stop_on_first
         self.spill_dir = spill_dir
         self.spill_entries = spill_entries
+        if spill_dir is not None and isinstance(self.strategy, RandomWalk):
+            raise ConfigurationError(
+                "spill_dir needs an exhaustive strategy (BFS or DFS); "
+                "random walks do not spill"
+            )
 
     # -- entry point -------------------------------------------------------
 
@@ -276,151 +449,53 @@ class Explorer:
         result.stats.elapsed = time.perf_counter() - start
         return result
 
-    # -- shared property plumbing -----------------------------------------
-
-    def _check_state(
-        self, config: Config, schedule: Tuple[Choice, ...],
-        violations: List[Violation],
-    ) -> bool:
-        """Run on_state checks; returns True when the search must stop."""
-        for prop in self.properties:
-            message = prop.on_state(self.model, config)
-            if message is not None:
-                violations.append(
-                    self._violation(prop.name, message, schedule)
-                )
-                if self.stop_on_first:
-                    return True
-        return False
-
-    def _check_terminal(
-        self, config: Config, schedule: Tuple[Choice, ...],
-        violations: List[Violation],
-    ) -> bool:
-        for prop in self.properties:
-            message = prop.on_terminal(self.model, config)
-            if message is not None:
-                violations.append(
-                    self._violation(prop.name, message, schedule)
-                )
-                if self.stop_on_first:
-                    return True
-        return False
-
-    def _violation(
-        self, name: str, message: str, schedule: Tuple[Choice, ...]
-    ) -> Violation:
-        try:
-            counterexample = self.model.counterexample(schedule)
-        except ConfigurationError:
-            counterexample = None
-        return Violation(
-            property=name, message=message, schedule=schedule,
-            counterexample=counterexample,
+    def _result(self, core: SearchCore, complete: bool, strategy: str) -> ExploreResult:
+        violations = build_violations(self.model, core.violations)
+        return ExploreResult(
+            ok=not violations,
+            complete=complete and not core.cut and not violations,
+            violations=violations,
+            stats=core.totals(),
+            strategy=strategy,
         )
 
     # -- exhaustive BFS/DFS with dedup + sleep sets ------------------------
 
     def _run_exhaustive(self, strategy: Strategy) -> ExploreResult:
         model = self.model
-        stats = ExploreStats()
-        violations: List[Violation] = []
-        intern = Interner()
-        backing = None
-        if self.spill_dir is not None:
-            from .spill import SpillDict
-
-            os.makedirs(self.spill_dir, exist_ok=True)
-            backing = SpillDict(
-                os.path.join(self.spill_dir, "visited.sqlite"),
-                max_entries=self.spill_entries,
-            )
-        #: fingerprint → the sleep set this state was (last) expanded with.
-        visited = VisitedStore(backing)
-        empty: FrozenSet[Choice] = frozenset()
-        frontier: deque = deque()
-        frontier.append((model.initial(), (), empty))
+        core = SearchCore(
+            model, self.properties, self.reduce, self.stop_on_first,
+            strategy.max_depth, strategy.max_states,
+            spill_path=(
+                None if self.spill_dir is None
+                else os.path.join(self.spill_dir, "visited.sqlite")
+            ),
+            spill_entries=self.spill_entries,
+        )
+        intern = core.intern
+        frontier: deque = deque([(model.initial(), (), _EMPTY)])
         pop = frontier.pop if isinstance(strategy, DFS) else frontier.popleft
+        push = frontier.append
         complete = True
-        stopped = False
-
-        while frontier and not stopped:
-            config, schedule, sleep = pop()
-            fingerprint = intern(model.fingerprint(config))
-            depth = len(schedule)
-            if depth > stats.max_depth_seen:
-                stats.max_depth_seen = depth
-
-            first, wake = visited.visit(
-                fingerprint, sleep if self.reduce else empty
-            )
-            if first:
-                if len(visited) > strategy.max_states:
+        try:
+            while frontier:
+                config, schedule, sleep = pop()
+                fingerprint = intern(model.fingerprint(config))
+                if not core.expand(fingerprint, config, schedule, sleep, push):
                     complete = False
                     break
-                stopped = self._check_state(config, schedule, violations)
-                if stopped:
-                    break
-                enabled = model.enabled(config)
-                if not enabled:
-                    stats.terminals += 1
-                    stopped = self._check_terminal(config, schedule, violations)
-                    continue
-                if self.reduce:
-                    to_explore = [c for c in enabled if c not in sleep]
-                    stats.sleep_pruned += len(enabled) - len(to_explore)
-                else:
-                    to_explore = list(enabled)
-            else:
-                if not wake:
-                    stats.deduped += 1
-                    continue
-                # Revisit with a smaller sleep set: the choices slept on
-                # the first visit but awake now must be explored, or the
-                # reduction would miss their futures (Godefroid's
-                # state-caching fix — see VisitedStore.visit).
-                to_explore = [c for c in model.enabled(config) if c in wake]
-
-            if strategy.max_depth is not None and depth >= strategy.max_depth:
-                if to_explore:
-                    complete = False  # cut branches: the verdict is bounded
-                continue
-
-            executed: List[Choice] = []
-            for choice in to_explore:
-                child = model.step(config, choice)
-                stats.transitions += 1
-                if self.reduce:
-                    child_sleep = child_sleep_set(
-                        model, config, sleep, executed, choice
-                    )
-                else:
-                    child_sleep = empty
-                frontier.append((child, schedule + (choice,), child_sleep))
-                executed.append(choice)
-
-        stats.states = len(visited)
-        if backing is not None:
-            stats.spilled = backing.spilled
-            backing.close()
-        if stopped or violations:
-            complete = False
-        return ExploreResult(
-            ok=not violations,
-            complete=complete,
-            violations=violations,
-            stats=stats,
-            strategy=strategy.name + ("+sleep" if self.reduce else ""),
+        finally:
+            core.close()
+        return self._result(
+            core, complete, strategy.name + ("+sleep" if self.reduce else "")
         )
 
     # -- seeded random walks ----------------------------------------------
 
     def _run_walks(self, strategy: RandomWalk) -> ExploreResult:
         model = self.model
-        stats = ExploreStats()
-        violations: List[Violation] = []
-        intern = Interner()
-        seen: set = set()
+        core = SearchCore(model, self.properties, stop_on_first=self.stop_on_first)
+        stats, visited = core.stats, core.visited
         rng = strategy.rng()
         stopped = False
 
@@ -432,13 +507,11 @@ class Explorer:
             for depth in range(strategy.max_depth + 1):
                 if depth > stats.max_depth_seen:
                     stats.max_depth_seen = depth
-                fingerprint = intern(model.fingerprint(config))
-                if fingerprint not in seen:
-                    seen.add(fingerprint)
-                    if len(seen) > strategy.max_states:
-                        stopped = True
-                        break
-                    if self._check_state(config, schedule, violations):
+                fingerprint = core.intern(model.fingerprint(config))
+                if visited.visit(fingerprint, _EMPTY)[0]:
+                    if len(visited) > strategy.max_states or core.check(
+                        config, schedule
+                    ):
                         stopped = True
                         break
                 else:
@@ -446,8 +519,7 @@ class Explorer:
                 enabled = model.enabled(config)
                 if not enabled:
                     stats.terminals += 1
-                    if self._check_terminal(config, schedule, violations):
-                        stopped = True
+                    stopped = core.check(config, schedule, terminal=True)
                     break
                 if depth >= strategy.max_depth:
                     break
@@ -456,14 +528,8 @@ class Explorer:
                 stats.transitions += 1
                 schedule = schedule + (choice,)
 
-        stats.states = len(seen)
-        return ExploreResult(
-            ok=not violations,
-            complete=False,  # sampling proves nothing exhaustively
-            violations=violations,
-            stats=stats,
-            strategy=strategy.name,
-        )
+        # Sampling proves nothing exhaustively: never complete.
+        return self._result(core, False, strategy.name)
 
 
 def explore(
@@ -475,39 +541,29 @@ def explore(
     workers: Optional[int] = None,
     spill_dir: Optional[str] = None,
     spill_entries: int = 200_000,
-    **sharded_opts,
 ) -> ExploreResult:
     """One-call front door: build an :class:`Explorer` and run it.
 
     ``workers=None`` (default) runs the serial engine in-process.  Any
     integer ``workers >= 1`` routes to the sharded superstep engine
-    (:class:`~repro.explore.sharded.ShardedExplorer`) — including
-    ``workers=1``, which runs the same superstep algorithm on one shard
-    and is the baseline the determinism tests compare against.  Extra
-    keyword arguments (``shards=``, ``por_boundary=``, ...) are only
-    valid together with ``workers``.
+    (:class:`~repro.explore.sharded.ShardedExplorer`), which is
+    breadth-first only — including ``workers=1``, which runs the same
+    superstep algorithm on one shard and is the baseline the
+    determinism tests compare against.
 
     ``spill_dir`` works in both modes: the visited set (or each visited
     shard) overflows to SQLite files in that directory.
     """
+    options = dict(
+        properties=properties, strategy=strategy, reduce=reduce,
+        stop_on_first=stop_on_first, spill_dir=spill_dir,
+        spill_entries=spill_entries,
+    )
     if workers is not None:
         from .sharded import ShardedExplorer
 
-        return ShardedExplorer(
-            model, properties=properties, strategy=strategy,
-            reduce=reduce, stop_on_first=stop_on_first,
-            workers=workers, spill_dir=spill_dir,
-            spill_entries=spill_entries, **sharded_opts,
-        ).run()
-    if sharded_opts:
-        raise ConfigurationError(
-            f"explore() options {sorted(sharded_opts)} require workers=N"
-        )
-    return Explorer(
-        model, properties=properties, strategy=strategy,
-        reduce=reduce, stop_on_first=stop_on_first,
-        spill_dir=spill_dir, spill_entries=spill_entries,
-    ).run()
+        return ShardedExplorer(model, workers=workers, **options).run()
+    return Explorer(model, **options).run()
 
 
 def state_graph(

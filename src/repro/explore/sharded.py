@@ -12,15 +12,25 @@ depth-synchronous **supersteps**:
     -----------                    -----------------------
     route initial state ──────────▶ shard = owner(fp(initial))
     loop per BFS depth d:
-      send ("step", inbox_s, d) ──▶ each shard s:
+      send ("step", inbox_s) ─────▶ each shard s:
                                       merge inbox + own local_next
-                                      group by fingerprint, dedup/wake
-                                      check properties, expand level d
+                                      group by fingerprint
+                                      expand level d (the search core)
                                       route children: own shard → keep,
                                         other shard → outbox[dest]
-      collect replies ◀──────────── (outboxes, per-step report)
+      collect replies ◀──────────── (outboxes, stats, violations, ...)
       route outboxes into inboxes; merge stats; pick violations;
       stop at barrier on budget / violation / empty frontier
+
+Each shard runs the serial engine's own per-state code,
+:class:`~repro.explore.engine.SearchCore` (dedup and wake-up, property
+checks, sleep sets, depth cut), which also owns the shard's visited
+slice, its spill file and its :class:`~repro.explore.engine.ExploreStats`;
+the coordinator folds those with
+:meth:`~repro.explore.engine.ExploreStats.merge`.  Sleep sets travel
+with frontier entries, so a child landing on a remote shard arrives
+with the sleep set the serial engine would have given it: the two
+engines differ only in frontier order and in where children go.
 
 Workers are **forked**, not spawned: models and properties close over
 protocol factories and are not picklable, so the worker state crosses
@@ -39,20 +49,6 @@ bytes (:func:`shard_of`), never builtin ``hash()``: string hashing is
 salted per process, so ``hash()`` would route the same state to
 different owners in different workers.
 
-**POR across shard boundaries.**  Sleep sets travel with frontier
-entries, so a child landing on a remote shard arrives with the same
-sleep set the serial engine would have given it — this is the default
-``por_boundary="replicate"`` mode, and it makes the sharded search the
-serial search with a different visit order.  The alternative,
-``por_boundary="clear"``, wipes the sleep set of every shard-crossing
-entry.  That is also *sound* (an empty sleep set only wakes more
-choices), so verdict and state-count parity survive; what it
-costs is redundant transitions at shard boundaries and, because the
-redundancy depends on which states cross shards, schedule-identical
-counterexamples across worker counts.  Both modes are tested; use
-"clear" only as a debugging aid when a custom model's ``independent``
-is suspect.
-
 **Determinism across worker counts.**  All entries for a fingerprint
 produced at depth ``d`` meet at its owner in the same superstep,
 wherever they were produced.  The owner merges the group canonically —
@@ -62,9 +58,8 @@ schedule as the minimum under :func:`schedule_key` — and processes
 groups in sorted fingerprint order.  By induction over depth, the
 per-level state sets, stored sleep sets, and expansions are partition-
 independent, so ``workers ∈ {1, 2, 4}`` yield identical verdicts,
-state counts, stats, and (under "replicate") byte-identical
-counterexamples.  This is what lets the bench assert serial/sharded
-parity as a gate.
+state counts, stats, and byte-identical counterexamples.  This is what
+lets the bench assert serial/sharded parity as a gate.
 
 **What moves at the barrier (vs the serial engine).**  Budgets are
 checked per superstep, so ``max_states`` can overshoot by up to one
@@ -73,9 +68,11 @@ stopping and keeps the *canonical* (shortest, then lexicographically
 least) violation of that level rather than the incidental first one;
 ``deduped``/``transitions`` counters can differ from serial because a
 group merge does in one visit what serial does as visit-plus-revisits.
-Verdict, state count, and counterexample schedules (BFS finds
-minimum-length ones in both engines) are preserved — the parity tests
-pin exactly that contract.
+One rule is shared with the serial engine: under ``stop_on_first`` a
+state that fails a property is not expanded (the rest of its level
+still is).  Verdict, state count, and counterexample schedules (BFS
+finds minimum-length ones in both engines) are preserved — the parity
+tests pin exactly that contract.
 
 **Serial/sharded POR parity needs stable choice labels.**  Determinism
 across worker counts holds unconditionally, but matching the *serial*
@@ -102,15 +99,15 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..harness.parallel import POOL_ERRORS, fork_context
-from .counterexample import Counterexample
 from .engine import (
+    Child,
     ExploreResult,
     ExploreStats,
-    Violation,
-    VisitedStore,
-    child_sleep_set,
+    RawViolation,
+    SearchCore,
+    build_violations,
 )
-from .model import Choice, ExplorationModel, Interner
+from .model import Choice, ExplorationModel
 from .properties import Property
 from .strategies import BFS, Strategy
 
@@ -124,12 +121,10 @@ __all__ = [
 #: One frontier entry: (fingerprint, config, schedule, sleep set).
 Entry = Tuple[Any, Any, Tuple[Choice, ...], FrozenSet[Choice]]
 
-#: Raw violation as shipped from a worker: (property index, property
-#: name, message, schedule).  The index makes the canonical pick follow
-#: the user's property order, like the serial engine's check loop.
-RawViolation = Tuple[int, str, str, Tuple[Choice, ...]]
-
-_POR_BOUNDARY_MODES = ("replicate", "clear")
+#: One shard's superstep reply: its outboxes, its stats so far, the
+#: violations of this level, whether the depth bound cut branches, and
+#: how many children it kept for itself.
+Reply = Tuple[Dict[int, List[Entry]], ExploreStats, List[RawViolation], bool, int]
 
 
 def shard_of(fingerprint: Any, shards: int) -> int:
@@ -155,14 +150,11 @@ class _WorkerError(RuntimeError):
 
 
 class _Shard:
-    """One shard: its slice of the visited set plus the expansion loop.
+    """One shard: its slice of the search, as a
+    :class:`~repro.explore.engine.SearchCore`, plus the routing.
 
     Lives inside a worker process (pool mode) or in the coordinator
-    (in-process emulation) — same code either way.  The dedup/wake rule
-    and the child-sleep computation are the engine's own
-    :class:`~repro.explore.engine.VisitedStore` /
-    :func:`~repro.explore.engine.child_sleep_set`, so the reduction
-    cannot drift from the serial engine's.
+    (in-process emulation) — same code either way.
     """
 
     def __init__(
@@ -172,39 +164,28 @@ class _Shard:
         properties: Sequence[Property],
         strategy: Strategy,
         reduce: bool,
+        stop_on_first: bool,
         shards: int,
-        por_boundary: str,
         spill_dir: Optional[str],
         spill_entries: int,
     ) -> None:
         self.shard_id = shard_id
-        self.model = model
-        self.properties = list(properties)
-        self.strategy = strategy
-        self.reduce = reduce
         self.shards = shards
-        self.por_boundary = por_boundary
-        self._backing = None
-        if spill_dir is not None:
-            from .spill import SpillDict
-
-            self._backing = SpillDict(
-                os.path.join(spill_dir, f"shard-{shard_id:03d}.sqlite"),
-                max_entries=spill_entries,
-            )
-        self.visited = VisitedStore(self._backing)
-        self._intern = Interner()
+        self.core = SearchCore(
+            model, properties, reduce, stop_on_first, strategy.max_depth,
+            spill_path=(
+                None if spill_dir is None
+                else os.path.join(spill_dir, f"shard-{shard_id:03d}.sqlite")
+            ),
+            spill_entries=spill_entries,
+        )
         #: children that stay on this shard — never serialized.
         self.local_next: List[Entry] = []
 
-    def superstep(
-        self, incoming: List[Entry], depth: int
-    ) -> Tuple[Dict[int, List[Entry]], Dict[str, Any]]:
-        """Process one BFS level of this shard; returns (outboxes, report)."""
-        model = self.model
-        reduce = self.reduce
-        empty: FrozenSet[Choice] = frozenset()
-        max_depth = self.strategy.max_depth
+    def superstep(self, incoming: List[Entry]) -> Reply:
+        """Process one BFS level of this shard."""
+        core = self.core
+        model = core.model
 
         # Canonical per-fingerprint merge: all same-depth entries for a
         # state meet here (the owner), wherever they were produced, so
@@ -212,7 +193,7 @@ class _Shard:
         # from it — is independent of how the space was partitioned.
         groups: Dict[Any, List[Any]] = {}
         for fp, config, schedule, sleep in self.local_next + incoming:
-            fp = self._intern(fp)
+            fp = core.intern(fp)
             group = groups.get(fp)
             if group is None:
                 groups[fp] = [config, schedule, sleep]
@@ -223,84 +204,25 @@ class _Shard:
                 group[2] = group[2] & sleep
         self.local_next = []
 
-        stats = ExploreStats()
-        violations: List[RawViolation] = []
-        cut = False
         outboxes: Dict[int, List[Entry]] = defaultdict(list)
 
-        for fp in sorted(groups, key=repr):
-            config, schedule, sleep = groups[fp]
-            if not reduce:
-                sleep = empty
-            first, wake = self.visited.visit(fp, sleep)
-            if first:
-                for index, prop in enumerate(self.properties):
-                    message = prop.on_state(model, config)
-                    if message is not None:
-                        violations.append((index, prop.name, message, schedule))
-                enabled = model.enabled(config)
-                if not enabled:
-                    stats.terminals += 1
-                    for index, prop in enumerate(self.properties):
-                        message = prop.on_terminal(model, config)
-                        if message is not None:
-                            violations.append(
-                                (index, prop.name, message, schedule)
-                            )
-                    continue
-                if reduce:
-                    to_explore = [c for c in enabled if c not in sleep]
-                    stats.sleep_pruned += len(enabled) - len(to_explore)
-                else:
-                    to_explore = list(enabled)
+        def route(child: Child) -> None:
+            config, schedule, sleep = child
+            fp = model.fingerprint(config)
+            dest = shard_of(fp, self.shards)
+            entry = (fp, config, schedule, sleep)
+            if dest == self.shard_id:
+                self.local_next.append(entry)
             else:
-                if not wake:
-                    stats.deduped += 1
-                    continue
-                to_explore = [c for c in model.enabled(config) if c in wake]
+                outboxes[dest].append(entry)
 
-            if max_depth is not None and depth >= max_depth:
-                if to_explore:
-                    cut = True  # branches dropped: the verdict is bounded
-                continue
-
-            executed: List[Choice] = []
-            for choice in to_explore:
-                child = model.step(config, choice)
-                stats.transitions += 1
-                if reduce:
-                    child_sleep = child_sleep_set(
-                        model, config, sleep, executed, choice
-                    )
-                else:
-                    child_sleep = empty
-                executed.append(choice)
-                child_fp = model.fingerprint(child)
-                dest = shard_of(child_fp, self.shards)
-                if dest != self.shard_id and self.por_boundary == "clear":
-                    child_sleep = empty
-                entry = (child_fp, child, schedule + (choice,), child_sleep)
-                if dest == self.shard_id:
-                    self.local_next.append(entry)
-                else:
-                    outboxes[dest].append(entry)
-
-        report = {
-            "visited": len(self.visited),
-            "transitions": stats.transitions,
-            "deduped": stats.deduped,
-            "sleep_pruned": stats.sleep_pruned,
-            "terminals": stats.terminals,
-            "spilled": self._backing.spilled if self._backing is not None else 0,
-            "violations": violations,
-            "cut": cut,
-            "local_next": len(self.local_next),
-        }
-        return dict(outboxes), report
+        for fp in sorted(groups, key=repr):
+            core.expand(fp, *groups[fp], route)
+        violations, core.violations = core.violations, []
+        return dict(outboxes), core.totals(), violations, core.cut, len(self.local_next)
 
     def close(self) -> None:
-        if self._backing is not None:
-            self._backing.close()
+        self.core.close()
 
 
 # Worker state crosses the process boundary by fork inheritance, not
@@ -310,22 +232,21 @@ _WORKER_STATE: Optional[Dict[str, Any]] = None
 
 
 def _worker_main(shard_id: int, conn) -> None:
-    """Shard worker loop: ("step", entries, depth) → ("ok", outboxes, report)."""
+    """Shard worker loop: ("step", entries) → ("ok", reply)."""
     shard = _Shard(shard_id=shard_id, **_WORKER_STATE)
     try:
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            _, incoming, depth = message
             try:
-                outboxes, report = shard.superstep(incoming, depth)
+                reply = shard.superstep(message[1])
             except Exception:
                 # Reply rather than die: an unreplied recv() would
                 # deadlock the coordinator's collection loop.
                 conn.send(("error", traceback.format_exc()))
                 continue
-            conn.send(("ok", outboxes, report))
+            conn.send(("ok", reply))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
@@ -356,17 +277,17 @@ class _PoolTransport:
         finally:
             _WORKER_STATE = None
 
-    def step_all(self, incoming: List[List[Entry]], depth: int):
+    def step_all(self, incoming: List[List[Entry]]) -> List[Reply]:
         # Send to every worker before collecting any reply: the sends
         # are what lets the W supersteps actually overlap.
         for conn, batch in zip(self.conns, incoming):
-            conn.send(("step", batch, depth))
+            conn.send(("step", batch))
         replies = []
         for shard_id, conn in enumerate(self.conns):
             reply = conn.recv()
             if reply[0] == "error":
                 raise _WorkerError(f"shard {shard_id} worker failed:\n{reply[1]}")
-            replies.append((reply[1], reply[2]))
+            replies.append(reply[1])
         return replies
 
     def close(self) -> None:
@@ -397,10 +318,9 @@ class _LocalTransport:
             _Shard(shard_id=shard_id, **state) for shard_id in range(shards)
         ]
 
-    def step_all(self, incoming: List[List[Entry]], depth: int):
+    def step_all(self, incoming: List[List[Entry]]) -> List[Reply]:
         return [
-            shard.superstep(batch, depth)
-            for shard, batch in zip(self.shards, incoming)
+            shard.superstep(batch) for shard, batch in zip(self.shards, incoming)
         ]
 
     def close(self) -> None:
@@ -450,10 +370,6 @@ class ShardedExplorer:
         Shard workers (and visited-set partitions).  ``workers=1`` runs
         the superstep algorithm on one in-process shard — the baseline
         the determinism tests compare 2 and 4 workers against.
-    por_boundary:
-        ``"replicate"`` (default) ships sleep sets with shard-crossing
-        entries; ``"clear"`` empties them at the boundary.  Both are
-        sound; see the module docstring for the trade.
     spill_dir / spill_entries:
         Per-shard :class:`~repro.explore.spill.SpillDict` overflow.
 
@@ -471,7 +387,6 @@ class ShardedExplorer:
         reduce: bool = True,
         stop_on_first: bool = True,
         workers: int = 1,
-        por_boundary: str = "replicate",
         spill_dir: Optional[str] = None,
         spill_entries: int = 200_000,
     ) -> None:
@@ -483,11 +398,6 @@ class ShardedExplorer:
             )
         if not isinstance(workers, int) or workers < 1:
             raise ConfigurationError(f"workers must be an int >= 1, got {workers!r}")
-        if por_boundary not in _POR_BOUNDARY_MODES:
-            raise ConfigurationError(
-                f"por_boundary must be one of {_POR_BOUNDARY_MODES}, "
-                f"got {por_boundary!r}"
-            )
         self.model = model
         self.properties = list(properties)
         self.strategy = strategy
@@ -495,7 +405,6 @@ class ShardedExplorer:
         self.stop_on_first = stop_on_first
         self.workers = workers
         self.shards = workers
-        self.por_boundary = por_boundary
         self.spill_dir = spill_dir
         self.spill_entries = spill_entries
 
@@ -503,15 +412,13 @@ class ShardedExplorer:
 
     def run(self) -> ShardedExploreResult:
         start = time.perf_counter()
-        if self.spill_dir is not None:
-            os.makedirs(self.spill_dir, exist_ok=True)
         state = dict(
             model=self.model,
             properties=self.properties,
             strategy=self.strategy,
             reduce=self.reduce,
+            stop_on_first=self.stop_on_first,
             shards=self.shards,
-            por_boundary=self.por_boundary,
             spill_dir=self.spill_dir,
             spill_entries=self.spill_entries,
         )
@@ -574,9 +481,7 @@ class ShardedExplorer:
 
     def _drive(self, transport) -> ShardedExploreResult:
         model = self.model
-        strategy = self.strategy
         shards = self.shards
-        stats = ExploreStats()
         raw_violations: List[RawViolation] = []
         complete = True
 
@@ -587,64 +492,46 @@ class ShardedExplorer:
             (initial_fp, initial, (), frozenset())
         )
 
-        depth = 0
         supersteps = 0
-        states_total = 0
         while True:
-            replies = transport.step_all(incoming, depth)
+            replies = transport.step_all(incoming)
             supersteps += 1
-            stats.max_depth_seen = depth
+            stats = ExploreStats.merge(reply[1] for reply in replies)
 
-            next_incoming: List[List[Entry]] = [[] for _ in range(shards)]
-            local_next_total = 0
-            states_total = 0
-            spilled_total = 0
+            incoming = [[] for _ in range(shards)]
             level_violations: List[RawViolation] = []
-            for outboxes, report in replies:
+            kept = 0
+            for outboxes, _, violations, cut, local_next in replies:
                 for dest, entries in outboxes.items():
-                    next_incoming[dest].extend(entries)
-                states_total += report["visited"]
-                local_next_total += report["local_next"]
-                spilled_total += report["spilled"]
-                stats.transitions += report["transitions"]
-                stats.deduped += report["deduped"]
-                stats.sleep_pruned += report["sleep_pruned"]
-                stats.terminals += report["terminals"]
-                level_violations.extend(report["violations"])
-                if report["cut"]:
-                    complete = False
-            stats.spilled = spilled_total
+                    incoming[dest].extend(entries)
+                level_violations.extend(violations)
+                complete = complete and not cut
+                kept += local_next
 
             if level_violations:
                 # Canonical pick: shortest schedule, then lexicographic,
                 # then property order — partition-independent, so every
                 # worker count reports the same violation(s).
                 level_violations.sort(key=lambda v: (schedule_key(v[3]), v[0]))
-                complete = False
                 if self.stop_on_first:
                     raw_violations = level_violations[:1]
                     break
                 raw_violations.extend(level_violations)
 
-            if states_total > strategy.max_states:
+            if stats.states > self.strategy.max_states:
                 complete = False
                 break
-            if local_next_total == 0 and all(not box for box in next_incoming):
+            if kept == 0 and not any(incoming):
                 break
-            incoming = next_incoming
-            depth += 1
 
-        stats.states = states_total
-        violations = [self._violation(raw) for raw in raw_violations]
-        if violations:
-            complete = False
+        violations = build_violations(model, raw_violations)
         return ShardedExploreResult(
             ok=not violations,
-            complete=complete,
+            complete=complete and not violations,
             violations=violations,
             stats=stats,
             strategy=(
-                strategy.name
+                self.strategy.name
                 + ("+sleep" if self.reduce else "")
                 + f"+sharded[{shards}]"
             ),
@@ -652,23 +539,4 @@ class ShardedExplorer:
             workers_used=1,
             shards=shards,
             supersteps=supersteps,
-        )
-
-    def _violation(self, raw: RawViolation) -> Violation:
-        """Materialize a worker-reported violation coordinator-side.
-
-        Only the schedule crosses the process boundary; the replayable
-        :class:`~repro.explore.counterexample.Counterexample` (trace
-        events, sink, replayer closure) is rebuilt here from the
-        coordinator's own model, exactly as the serial engine does — so
-        counterexamples from remote workers replay byte-identically.
-        """
-        _, name, message, schedule = raw
-        try:
-            counterexample = self.model.counterexample(schedule)
-        except ConfigurationError:
-            counterexample = None
-        return Violation(
-            property=name, message=message, schedule=schedule,
-            counterexample=counterexample,
         )

@@ -65,6 +65,8 @@ class RandomWalk(Strategy):
         seed: int = 0,
         max_states: int = 1_000_000,
     ) -> None:
+        if max_depth is None:
+            raise ConfigurationError("a random walk needs a max_depth")
         super().__init__(max_states=max_states, max_depth=max_depth)
         if walks < 1:
             raise ConfigurationError("walks must be >= 1")

@@ -180,6 +180,66 @@ class TestRandomWalk:
         assert runs[0].stats.states == runs[1].stats.states
         assert runs[0].stats.transitions == runs[1].stats.transitions
 
+    def test_unbounded_depth_rejected(self):
+        # A walk needs a length: max_depth=None used to surface as a bare
+        # TypeError from range(None + 1) once explore() ran.
+        with pytest.raises(ConfigurationError, match="max_depth"):
+            RandomWalk(walks=3, max_depth=None)
+
+    def test_spill_dir_rejected(self, tmp_path):
+        # Walks keep no visited set to spill: the directory used to be
+        # ignored without a word (no file, spilled == 0).
+        with pytest.raises(ConfigurationError, match="spill_dir"):
+            explore(
+                GridModel(2, 2), strategy=RandomWalk(walks=3),
+                spill_dir=str(tmp_path),
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
+class RaisingGridModel(GridModel):
+    """A grid whose step out of (4, 4) fails: a model bug mid-search."""
+
+    def step(self, config, choice):
+        if config == (4, 4):
+            raise RuntimeError("model bug")
+        return super().step(config, choice)
+
+
+class TestSpillLifecycle:
+    @pytest.mark.parametrize("failing", ["property", "model"])
+    def test_store_closed_when_the_search_raises(
+        self, tmp_path, monkeypatch, failing
+    ):
+        from repro.explore import spill
+
+        stores = []
+        original_init = spill.SpillDict.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            stores.append(self)
+
+        monkeypatch.setattr(spill.SpillDict, "__init__", recording_init)
+
+        def buggy(model, config):
+            if config == (4, 4):
+                raise RuntimeError("property bug")
+            return None
+
+        if failing == "property":
+            model, properties = GridModel(6, 6), [Invariant("buggy", buggy)]
+        else:
+            model, properties = RaisingGridModel(6, 6), []
+        with pytest.raises(RuntimeError, match=f"{failing} bug"):
+            explore(
+                model, properties=properties,
+                spill_dir=str(tmp_path), spill_entries=4,
+            )
+        (store,) = stores
+        assert store.spilled > 0  # the SQLite file was opened and written
+        assert store._db is None  # ... and its connection closed
+
 
 class TestStateGraph:
     def test_full_graph_edges(self):

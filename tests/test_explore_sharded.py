@@ -7,9 +7,8 @@ The contracts under test (the bench gates depend on them):
   engine, whatever the worker count;
 * **worker-count determinism** — ``workers ∈ {1, 2, 4}`` agree on
   verdict, state count, every additive stat, and (for failing
-  properties, under the default ``por_boundary="replicate"``) on a
-  counterexample that replays to the same trace hash as the serial
-  engine's;
+  properties) on a counterexample that replays to the same trace hash
+  as the serial engine's;
 * **fallback equivalence** — a machine without usable fork workers gets
   identical results from the in-process emulation, and the degradation
   is recorded (``pool_fallback``) and warned, never silent.
@@ -208,25 +207,26 @@ class TestWorkerCountDeterminism:
         assert len(signatures) == 1
 
 
-class TestPorBoundary:
-    def test_clear_mode_preserves_states_not_transitions(self):
-        model = lambda: AmpModel(make_flood_min([3, 1, 2], quorum=3))
-        replicate = explore(model(), workers=4, por_boundary="replicate")
-        clear = explore(model(), workers=4, por_boundary="clear")
-        serial = explore(model())
-        # Sleep sets never prune states, so both boundary modes land on
-        # the serial state count; "clear" pays extra boundary transitions.
-        assert replicate.stats.states == clear.stats.states == serial.stats.states
-        assert clear.stats.transitions >= replicate.stats.transitions
-
-    def test_clear_mode_deterministic_per_worker_count(self):
-        first = explore(GridModel(3, 3), workers=2, por_boundary="clear")
-        second = explore(GridModel(3, 3), workers=2, por_boundary="clear")
-        assert result_signature(first) == result_signature(second)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            explore(GridModel(2, 2), workers=2, por_boundary="ignore")
+class TestSharedStopRule:
+    def test_violating_state_is_not_expanded_in_either_engine(self):
+        # quorum=1: every process decides its own value at start-up, so
+        # the initial state already breaks agreement.  Under
+        # stop_on_first neither engine expands it: the sharded engine
+        # used to go on and count it as a terminal.
+        broken = lambda: AmpModel(make_flood_min([3, 1], quorum=1))
+        results = [
+            explore(broken(), properties=[agreement()], workers=workers)
+            for workers in (None, 1, 2)
+        ]
+        signatures = {
+            (result_signature(result), result.stats.spilled)
+            for result in results
+        }
+        assert len(signatures) == 1
+        serial = results[0]
+        assert not serial.ok
+        assert (serial.stats.states, serial.stats.terminals) == (1, 0)
+        assert serial.violations[0].schedule == ()
 
 
 class TestValidation:
@@ -241,10 +241,6 @@ class TestValidation:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedExplorer(GridModel(2, 2), workers=0)
-
-    def test_sharded_options_require_workers(self):
-        with pytest.raises(ConfigurationError):
-            explore(GridModel(2, 2), por_boundary="clear")  # no workers=
 
 
 class TestBudgets:
