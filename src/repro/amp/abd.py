@@ -170,6 +170,13 @@ class AbdNode(AsyncProcess):
         self._reply_senders[key] = set()
         ctx.broadcast(("abd", "store", self.pid, self._op_seq, ts, value))
 
+    def _quorum_reached(self, responders: Set[int]) -> bool:
+        """Whether ``responders`` complete the current phase.
+
+        Called once per new responder; the phase moves on the first time
+        it holds, so later replies of the same phase are ignored."""
+        return len(responders) >= self.quorum
+
     # -- message handling ----------------------------------------------------------
 
     def on_message(self, ctx: Context, src: int, message: object) -> None:
@@ -209,7 +216,7 @@ class AbdNode(AsyncProcess):
             return  # duplicate delivery: this server already counted
         senders.add(server)
         self._replies[key].append((ts, value))
-        if len(senders) != self.quorum:
+        if not self._quorum_reached(senders):
             return
         purpose = self._phase.split(":")[1]
         max_ts, max_value = max(self._replies[key], key=lambda pair: pair[0])
@@ -239,7 +246,7 @@ class AbdNode(AsyncProcess):
         if server in senders:
             return  # duplicate delivery: this server already counted
         senders.add(server)
-        if len(senders) != self.quorum:
+        if not self._quorum_reached(senders):
             return
         purpose = self._phase.split(":")[1]
         self._phase = None

@@ -7,15 +7,25 @@ finite-branching for a concrete protocol: the adversary's moves are
 *which in-transit message to deliver next* and *whom to crash* (within
 the resilience budget ``t``).
 
-:class:`MessageProtocolExplorer` walks the complete configuration graph
-of a :class:`MessageProtocol` and reports:
+:class:`MessageProtocolExplorer` is the model
+:func:`repro.explore.engine.state_graph` walks — the walk that builds
+the shared-memory explorer's graph too.  Its choices are
+``("deliver", src, dst, payload)``, one per distinct in-transit message,
+and ``("crash", pid, mid_send)``.  On the complete configuration graph
+of a :class:`MessageProtocol` it reports:
 
 * agreement/validity violations in any reachable configuration;
 * **stuck configurations** — some live process undecided while no
   message to any live process is in transit (a fair execution that ends
   undecided: the termination failure mode of "wait for everyone"
   protocols under a crash);
-* initial bivalence and per-configuration valence.
+* initial bivalence: every configuration of the graph is reachable from
+  the initial one, so the initial valence is the set of values decided
+  anywhere in the graph.
+
+A graph larger than ``max_configurations`` raises
+:class:`~repro.core.exceptions.SimulationLimitExceeded`: a verdict on
+part of the graph would not be sound.
 
 Concrete protocols exhibiting the FLP dichotomy:
 
@@ -28,17 +38,18 @@ Concrete protocols exhibiting the FLP dichotomy:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ...core.exceptions import ConfigurationError, SimulationLimitExceeded
+from ...core.exceptions import ConfigurationError
 
 #: Sentinel: a process that has not decided.
 NOT_DECIDED = object()
 
 Transit = Tuple[Tuple[int, int, object], ...]  # sorted (src, dst, payload)
 Config = Tuple[Tuple[object, ...], FrozenSet[int], Transit]
+#: ``("deliver", src, dst, payload)`` or ``("crash", pid, mid_send)``.
+Choice = Tuple[object, ...]
 
 
 class MessageProtocol:
@@ -74,7 +85,6 @@ class MessageExplorationReport:
     validity_violation: Optional[object]
     stuck_configurations: int
     initial_bivalent: bool
-    truncated: bool
 
     @property
     def safe(self) -> bool:
@@ -83,7 +93,7 @@ class MessageExplorationReport:
     @property
     def always_terminates(self) -> bool:
         """No fair execution ends with a live process undecided."""
-        return self.stuck_configurations == 0 and not self.truncated
+        return self.stuck_configurations == 0
 
 
 class MessageProtocolExplorer:
@@ -104,9 +114,9 @@ class MessageProtocolExplorer:
         self.t = t
         self.max_configurations = max_configurations
 
-    # -- configuration mechanics ------------------------------------------
+    # -- the model state_graph walks -------------------------------------
 
-    def initial_configuration(self) -> Config:
+    def initial(self) -> Config:
         states = tuple(
             self.protocol.initial_state(pid, self.inputs[pid])
             for pid in range(self.n)
@@ -117,43 +127,45 @@ class MessageProtocolExplorer:
                 transit.append((pid, dst, payload))
         return (states, frozenset(), tuple(sorted(transit, key=repr)))
 
-    def successors(self, config: Config) -> List[Config]:
-        states, crashed, transit = config
-        out: List[Config] = []
-        # Deliveries: each distinct in-transit message may arrive next.
-        seen_moves: Set[int] = set()
-        for index, (src, dst, payload) in enumerate(transit):
-            if (src, dst, payload) in (transit[i] for i in seen_moves):
-                continue
-            seen_moves.add(index)
-            remaining = transit[:index] + transit[index + 1 :]
-            if dst in crashed:
-                out.append((states, crashed, remaining))
-                continue
-            new_state, sends = self.protocol.on_message(
-                dst, states[dst], src, payload
-            )
-            new_states = states[:dst] + (new_state,) + states[dst + 1 :]
-            new_transit = list(remaining)
-            for to, msg in sends:
-                new_transit.append((dst, to, msg))
-            out.append(
-                (new_states, crashed, tuple(sorted(new_transit, key=repr)))
-            )
-        # Crashes: any live process, while the budget lasts.  Two variants
-        # per victim: the crash happens after its sends completed (its
-        # in-transit messages survive) or mid-send (they are lost) — the
-        # latter is the classic "crashed during a broadcast" case.
+    def enabled(self, config: Config) -> List[Choice]:
+        """Deliveries of each distinct in-transit message, then crashes.
+
+        Any live process may crash while the budget lasts, in two
+        variants: after its sends completed (its in-transit messages
+        survive) or mid-send (they are lost) — the latter is the classic
+        "crashed during a broadcast" case, offered only when it loses
+        something.
+        """
+        _, crashed, transit = config
+        choices: List[Choice] = [
+            ("deliver",) + entry for entry in dict.fromkeys(transit)
+        ]
         if len(crashed) < self.t:
             for pid in range(self.n):
                 if pid not in crashed:
-                    out.append((states, crashed | {pid}, transit))
-                    without = tuple(
-                        entry for entry in transit if entry[0] != pid
-                    )
-                    if without != transit:
-                        out.append((states, crashed | {pid}, without))
-        return out
+                    choices.append(("crash", pid, False))
+                    if any(entry[0] == pid for entry in transit):
+                        choices.append(("crash", pid, True))
+        return choices
+
+    def step(self, config: Config, choice: Choice) -> Config:
+        states, crashed, transit = config
+        if choice[0] == "crash":
+            _, pid, mid_send = choice
+            if mid_send:
+                transit = tuple(entry for entry in transit if entry[0] != pid)
+            return (states, crashed | {pid}, transit)
+        _, src, dst, payload = choice
+        index = transit.index((src, dst, payload))
+        remaining = transit[:index] + transit[index + 1 :]
+        if dst in crashed:
+            return (states, crashed, remaining)
+        new_state, sends = self.protocol.on_message(dst, states[dst], src, payload)
+        new_states = states[:dst] + (new_state,) + states[dst + 1 :]
+        new_transit = list(remaining)
+        for to, msg in sends:
+            new_transit.append((dst, to, msg))
+        return (new_states, crashed, tuple(sorted(new_transit, key=repr)))
 
     def decisions(self, config: Config) -> Dict[int, object]:
         states, crashed, _ = config
@@ -181,71 +193,28 @@ class MessageProtocolExplorer:
     # -- exploration ---------------------------------------------------------
 
     def explore(self) -> MessageExplorationReport:
-        initial = self.initial_configuration()
-        graph: Dict[Config, List[Config]] = {}
-        frontier = [initial]
-        truncated = False
-        while frontier:
-            config = frontier.pop()
-            if config in graph:
-                continue
-            if len(graph) >= self.max_configurations:
-                truncated = True
-                break
-            succ = self.successors(config)
-            graph[config] = succ
-            for nxt in succ:
-                if nxt not in graph:
-                    frontier.append(nxt)
+        """Walk the whole graph and bundle the verdicts.
 
-        all_values: Set[object] = set()
-        agreement_violation: Optional[Tuple[object, object]] = None
-        validity_violation: Optional[object] = None
-        stuck = 0
-        input_set = set(self.inputs)
-        for config in graph:
-            decided = self.decisions(config)
-            all_values |= set(decided.values())
-            distinct = set(decided.values())
-            if len(distinct) > 1 and agreement_violation is None:
-                pair = sorted(distinct, key=repr)[:2]
-                agreement_violation = (pair[0], pair[1])
-            for value in distinct:
-                if value not in input_set and validity_violation is None:
-                    validity_violation = value
-            if self.is_stuck(config):
-                stuck += 1
+        Raises :class:`~repro.core.exceptions.SimulationLimitExceeded`
+        when the graph has more than ``max_configurations``
+        configurations.
+        """
+        # Imported here: ``import repro.amp`` loads this module in every
+        # KV workload, which never explores.
+        from ...explore.engine import decision_scan, state_graph
 
-        # Initial valence: reachable decision values per initial branch.
-        valence = self._initial_valence(graph, initial)
+        graph = state_graph(self, max_states=self.max_configurations)
+        values, agreement, validity = decision_scan(
+            graph, self.decisions, self.inputs
+        )
         return MessageExplorationReport(
             configurations=len(graph),
-            decision_values=frozenset(all_values),
-            agreement_violation=agreement_violation,
-            validity_violation=validity_violation,
-            stuck_configurations=stuck,
-            initial_bivalent=len(valence) > 1,
-            truncated=truncated,
+            decision_values=values,
+            agreement_violation=agreement,
+            validity_violation=validity,
+            stuck_configurations=sum(map(self.is_stuck, graph)),
+            initial_bivalent=len(values) > 1,
         )
-
-    def _initial_valence(
-        self, graph: Dict[Config, List[Config]], initial: Config
-    ) -> FrozenSet[object]:
-        values: Dict[Config, Set[object]] = {
-            config: set(self.decisions(config).values()) for config in graph
-        }
-        changed = True
-        while changed:
-            changed = False
-            for config, successors in graph.items():
-                bucket = values[config]
-                before = len(bucket)
-                for nxt in successors:
-                    if nxt in values:
-                        bucket |= values[nxt]
-                if len(bucket) != before:
-                    changed = True
-        return frozenset(values.get(initial, set()))
 
 
 # ---------------------------------------------------------------------------

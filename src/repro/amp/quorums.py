@@ -24,13 +24,12 @@ split-brain — found by the checker.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Set
 
 from ..core.exceptions import ConfigurationError
 from ..core.history import History
 from ..core.model import ProcessAdversarySpec
-from .abd import AbdNode, Timestamp
-from .network import Context
+from .abd import AbdNode
 
 QuorumFamily = FrozenSet[FrozenSet[int]]
 
@@ -79,9 +78,10 @@ class QuorumAbdNode(AbdNode):
     """ABD with an explicit quorum family.
 
     A phase completes when the responder set contains a full quorum of
-    the family (instead of reaching a count).  With a safe family this
-    preserves atomicity; with a live family it preserves termination
-    under the corresponding adversary.
+    the family (instead of reaching a count): the one override is
+    :meth:`_quorum_reached`, and the reply and ack handlers are ABD's.
+    With a safe family this preserves atomicity; with a live family it
+    preserves termination under the corresponding adversary.
     """
 
     def __init__(
@@ -111,47 +111,6 @@ class QuorumAbdNode(AbdNode):
                 raise ConfigurationError(
                     f"quorum {sorted(quorum)} names processes outside 0..{n - 1}"
                 )
-        self._reply_senders: Dict[Tuple[int, str], Set[int]] = {}
 
-    def _covered(self, responders: Set[int]) -> bool:
+    def _quorum_reached(self, responders: Set[int]) -> bool:
         return any(quorum <= responders for quorum in self.family)
-
-    # -- override the two collection points -------------------------------
-
-    def _handle_reply(self, ctx: Context, message: object) -> None:
-        _, _, server, seq, ts, value = message
-        if seq != self._op_seq or not (self._phase or "").startswith("query"):
-            return
-        key = (seq, "query")
-        senders = self._reply_senders.setdefault(key, set())
-        if server in senders:
-            return
-        senders.add(server)
-        self._replies.setdefault(key, []).append((ts, value))
-        if not self._covered(senders):
-            return
-        purpose = self._phase.split(":")[1]
-        max_ts, max_value = max(self._replies[key], key=lambda pair: pair[0])
-        if purpose == "read":
-            self._after_read_query(ctx, max_ts, max_value, self._replies[key])
-        else:
-            new_ts = (max_ts[0] + 1, self.pid)
-            self._start_store(ctx, new_ts, self._pending_write_value, purpose="write")
-
-    def _handle_ack(self, ctx: Context, message: object) -> None:
-        _, _, server, seq = message
-        if seq != self._op_seq or not (self._phase or "").startswith("store"):
-            return
-        key = (seq, "store")
-        senders = self._reply_senders.setdefault(key, set())
-        if server in senders:
-            return
-        senders.add(server)
-        if not self._covered(senders):
-            return
-        purpose = self._phase.split(":")[1]
-        self._phase = None
-        if purpose == "write":
-            self._complete(ctx, "write", (self._pending_write_value,), None)
-        else:
-            self._complete(ctx, "read", (), self._read_result)

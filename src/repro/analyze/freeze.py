@@ -104,15 +104,27 @@ _block_all(
 class FrozenSetView(set):
     """A set whose mutators raise :class:`FrozenMutationError`.
 
-    It prints as a plain set does, as :class:`FrozenList` and
-    :class:`FrozenDict` print as their builtins, so a sanitized run
-    records the payload text an unsanitized replay re-issues.
+    It iterates in the order of the set it was frozen from, and prints
+    as a plain set does, as :class:`FrozenList` and :class:`FrozenDict`
+    print as their builtins, so a sanitized run records the payload text
+    an unsanitized replay re-issues, and its receivers iterate as the
+    unsanitized ones do.  The order is kept because a copy of a set that
+    grew and then shrank has a smaller table, and so iterates in another
+    order than its source.
     """
 
-    __slots__ = ()
+    __slots__ = ("_order",)
+
+    def __init__(self, items=()) -> None:
+        order = tuple(dict.fromkeys(items))
+        super().__init__(order)
+        self._order = order
+
+    def __iter__(self):
+        return iter(self._order)
 
     def __reduce__(self):
-        return (FrozenSetView, (set(self),))
+        return (FrozenSetView, (list(self),))
 
     def __repr__(self) -> str:
         # set.__repr__ would prefix the subclass name.

@@ -40,8 +40,13 @@ when the search ends.  ``spill_dir=`` swaps the visited backing for a
 disk-spilling LRU store (:class:`~repro.explore.spill.SpillDict`).
 
 :func:`state_graph` is the unreduced enumeration (config →
-successors), kept for clients that need the whole graph — the
-bivalence/valence analyses of :mod:`repro.shm.bivalence` run on it.
+successors), kept for clients that need the whole graph: both FLP
+explorers (:mod:`repro.shm.bivalence` and
+:mod:`repro.amp.consensus.flp`) run on it, and raise like it when the
+graph is over budget.  :func:`decision_scan` reads a graph's verdicts
+for them: the values decided in it — the initial configuration's
+valence, since every configuration of the graph is reachable from the
+initial one — its first agreement pair and its first invalid value.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -571,11 +577,17 @@ def state_graph(
 ) -> Dict[Config, List[Tuple[Choice, Config]]]:
     """The full configuration graph: config → ``[(choice, successor)]``.
 
-    No reduction — valence and cycle analyses need every edge
-    (:mod:`repro.shm.bivalence` runs on this).  Configurations are used
-    as keys directly, so the model's configurations must be hashable
-    and canonical (true for the shm adapter, whose fingerprint *is* the
-    configuration).
+    No reduction — the verdicts need every configuration and the cycle
+    analyses every edge.  Both FLP explorers build their graphs here:
+    the shm adapter for :mod:`repro.shm.bivalence`, and
+    :class:`~repro.amp.consensus.flp.MessageProtocolExplorer`, which is
+    its own model.  Every configuration is reachable from
+    ``model.initial()``, and configurations are inserted in the order
+    the walk first expands them.  Configurations are used as keys
+    directly, so the model's configurations must be hashable and
+    canonical (true for the shm adapter, whose fingerprint *is* the
+    configuration).  More than ``max_states`` configurations raise
+    :class:`~repro.core.exceptions.SimulationLimitExceeded`.
     """
     initial = model.initial()
     graph: Dict[Config, List[Tuple[Choice, Config]]] = {}
@@ -597,3 +609,34 @@ def state_graph(
             if nxt not in graph:
                 frontier.append(nxt)
     return graph
+
+
+def decision_scan(
+    graph: Iterable[Config],
+    decisions: Callable[[Config], Dict[int, object]],
+    inputs: Iterable[object],
+) -> Tuple[FrozenSet[object], Optional[Tuple[object, object]], Optional[object]]:
+    """What a graph's configurations decide, scanned in the graph's order.
+
+    Returns ``(values, agreement, validity)``: every value decided in
+    some configuration; the two least-by-``repr`` values of the first
+    configuration that decides more than one; and the first decided
+    value outside ``inputs``.  On a :func:`state_graph` the values are
+    the initial configuration's valence, as every configuration is
+    reachable from it: the initial configuration is bivalent iff there
+    is more than one.
+    """
+    values: Set[object] = set()
+    agreement: Optional[Tuple[object, object]] = None
+    validity: Optional[object] = None
+    allowed = set(inputs)
+    for config in graph:
+        decided = set(decisions(config).values())
+        values |= decided
+        if agreement is None and len(decided) > 1:
+            first, second = sorted(decided, key=repr)[:2]
+            agreement = (first, second)
+        for value in decided:
+            if validity is None and value not in allowed:
+                validity = value
+    return frozenset(values), agreement, validity

@@ -21,7 +21,7 @@ per decided process — the runtime retires a generator on the resume
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..core.seqspec import SequentialSpec
@@ -49,10 +49,7 @@ class ShmMachineModel(ExplorationModel):
     kernel = "shm"
 
     def __init__(
-        self,
-        machine: ProtocolStateMachine,
-        inputs: Sequence[object],
-        interner: Optional[Interner] = None,
+        self, machine: ProtocolStateMachine, inputs: Sequence[object]
     ) -> None:
         self.machine = machine
         self.inputs = tuple(inputs)
@@ -64,7 +61,7 @@ class ShmMachineModel(ExplorationModel):
         self._specs: Dict[str, SequentialSpec] = machine.shared_objects()
         # Hash-consing: equal state tuples share one object across the
         # whole graph (the PR 2 IIS-interner pattern).
-        self._intern = interner if interner is not None else Interner()
+        self._intern = Interner()
 
     # -- configuration mechanics ------------------------------------------
 

@@ -9,19 +9,26 @@ schedules that preserve bivalence forever — is finite-branching, so for a
 than merely cited.
 
 Given a :class:`~repro.shm.statemachine.ProtocolStateMachine`, this
-module explores the complete configuration graph and reports:
+module builds the complete configuration graph with
+:func:`repro.explore.engine.state_graph` — the walk the message-passing
+explorer (:mod:`repro.amp.consensus.flp`) runs on too — and reports:
 
 * **safety** — does any reachable configuration contain two different
   decided values (agreement violation) or a value nobody proposed
   (validity violation)?
-* **valence** — the set of decision values reachable from each
-  configuration; initial-configuration bivalence (the FLP starting point);
+* **initial valence** — every configuration of the graph is reachable
+  from the initial one, so its valence is the set of values decided
+  anywhere in the graph; more than one makes it bivalent (the FLP
+  starting point);
 * **non-termination** — does some schedule keep a chosen process running
   forever without deciding (a reachable cycle along which the process
   takes steps but stays undecided)?  For a correct wait-free protocol the
   answer must be *no*; for any register-only consensus protocol that is
   always-safe, the answer is provably *yes* — which is exactly the FLP
   dichotomy, and the tests exhibit it on both sides.
+
+A graph larger than ``max_configurations`` raises
+:class:`~repro.core.exceptions.SimulationLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -60,13 +67,13 @@ class ExplorationReport:
 class ConfigurationExplorer:
     """Breadth-first exploration of every schedule of a protocol.
 
-    Since the ``repro.explore`` engine landed, the configuration
-    mechanics and graph enumeration delegate to
+    The configuration mechanics and graph enumeration delegate to
     :class:`repro.explore.shm_model.ShmMachineModel` and
-    :func:`repro.explore.engine.state_graph` — same configurations,
-    same edges, same error messages (the model additionally
-    hash-conses equal state tuples, which only saves memory).  The
-    valence, cycle, and worst-case analyses below are unchanged.
+    :func:`repro.explore.engine.state_graph` (the model hash-conses
+    equal state tuples, which only saves memory); the safety verdicts
+    and the initial valence come from
+    :func:`repro.explore.engine.decision_scan`.  The cycle and
+    worst-case analyses run on the same graph.
     """
 
     def __init__(
@@ -121,29 +128,6 @@ class ConfigurationExplorer:
         from ..explore.engine import state_graph
 
         return state_graph(self.model, max_states=self.max_configurations)
-
-    def valence(
-        self, graph: Dict[Config, List[Tuple[int, Config]]]
-    ) -> Dict[Config, FrozenSet[object]]:
-        """Reachable decision values from each configuration.
-
-        Computed by reverse propagation to a fixed point (the graph may
-        have cycles, so a simple recursion will not do).
-        """
-        values: Dict[Config, Set[object]] = {
-            config: set(self.decisions(config).values()) for config in graph
-        }
-        changed = True
-        while changed:
-            changed = False
-            for config, successors in graph.items():
-                bucket = values[config]
-                before = len(bucket)
-                for _, nxt in successors:
-                    bucket |= values[nxt]
-                if len(bucket) != before:
-                    changed = True
-        return {config: frozenset(v) for config, v in values.items()}
 
     def nondeciding_cycle_exists(
         self, graph: Dict[Config, List[Tuple[int, Config]]], pid: int
@@ -228,38 +212,31 @@ class ConfigurationExplorer:
         return best[component_of[initial]]
 
     def explore(self) -> ExplorationReport:
-        """Run the full analysis and bundle the verdicts."""
+        """Run the full analysis and bundle the verdicts.
+
+        Raises :class:`~repro.core.exceptions.SimulationLimitExceeded`
+        when the graph has more than ``max_configurations``
+        configurations.
+        """
+        from ..explore.engine import decision_scan
+
         graph = self.reachable()
-        all_values: Set[object] = set()
-        agreement_violation: Optional[Tuple[object, object]] = None
-        validity_violation: Optional[object] = None
-        terminal = 0
-        input_set = set(self.inputs)
-        for config in graph:
-            decided = self.decisions(config)
-            all_values |= set(decided.values())
-            distinct = set(decided.values())
-            if len(distinct) > 1 and agreement_violation is None:
-                pair = sorted(distinct, key=repr)[:2]
-                agreement_violation = (pair[0], pair[1])
-            for value in distinct:
-                if value not in input_set and validity_violation is None:
-                    validity_violation = value
-            if not self.enabled(config):
-                terminal += 1
-        valences = self.valence(graph)
-        initial = self.initial_configuration()
-        cycles = {
-            pid: self.nondeciding_cycle_exists(graph, pid) for pid in range(self.n)
-        }
+        values, agreement, validity = decision_scan(
+            graph, self.decisions, self.inputs
+        )
         return ExplorationReport(
             configurations=len(graph),
-            terminal_configurations=terminal,
-            decision_values=frozenset(all_values),
-            agreement_violation=agreement_violation,
-            validity_violation=validity_violation,
-            initial_bivalent=len(valences[initial]) > 1,
-            nondeciding_cycle=cycles,
+            terminal_configurations=sum(
+                1 for successors in graph.values() if not successors
+            ),
+            decision_values=values,
+            agreement_violation=agreement,
+            validity_violation=validity,
+            initial_bivalent=len(values) > 1,
+            nondeciding_cycle={
+                pid: self.nondeciding_cycle_exists(graph, pid)
+                for pid in range(self.n)
+            },
         )
 
 
@@ -326,15 +303,20 @@ def find_bivalent_initial_input(
 
     The FLP proof's Lemma-2 step: some initial configuration must be
     bivalent (found here by direct search instead of the adjacency
-    argument).  Returns ``None`` if every initial configuration is
-    univalent — which for a correct consensus protocol with equal inputs
-    is expected.
+    argument: an initial configuration is bivalent iff its graph decides
+    more than one value).  Returns ``None`` if every initial
+    configuration is univalent — which for a correct consensus protocol
+    with equal inputs is expected.
     """
+    from ..explore.engine import decision_scan
+
     for inputs in input_space:
-        machine = machine_factory()
-        explorer = ConfigurationExplorer(machine, inputs, max_configurations)
-        graph = explorer.reachable()
-        valences = explorer.valence(graph)
-        if len(valences[explorer.initial_configuration()]) > 1:
+        explorer = ConfigurationExplorer(
+            machine_factory(), inputs, max_configurations
+        )
+        values, _, _ = decision_scan(
+            explorer.reachable(), explorer.decisions, inputs
+        )
+        if len(values) > 1:
             return tuple(inputs)
     return None

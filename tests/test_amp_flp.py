@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, SimulationLimitExceeded
 from repro.amp.consensus import (
     EagerMinConsensus,
     MessageProtocolExplorer,
@@ -14,8 +14,7 @@ from repro.amp.consensus.flp import NOT_DECIDED, MessageProtocol
 class TestExplorerMechanics:
     def test_counts_configurations(self):
         report = MessageProtocolExplorer(UnanimityConsensus(2), (0, 1), t=0).explore()
-        assert report.configurations >= 3
-        assert not report.truncated
+        assert report.configurations == 4
 
     def test_t_zero_has_no_crash_branches(self):
         with_crashes = MessageProtocolExplorer(
@@ -27,11 +26,12 @@ class TestExplorerMechanics:
         assert with_crashes.configurations > without.configurations
 
     def test_truncation_reported(self):
-        report = MessageProtocolExplorer(
-            UnanimityConsensus(3), (0, 1, 1), t=1, max_configurations=10
-        ).explore()
-        assert report.truncated
-        assert not report.always_terminates  # can't certify when truncated
+        # A verdict on part of the graph would not be sound: over budget,
+        # the explorer raises instead of reporting.
+        with pytest.raises(SimulationLimitExceeded):
+            MessageProtocolExplorer(
+                UnanimityConsensus(3), (0, 1, 1), t=1, max_configurations=10
+            ).explore()
 
     def test_t_validated(self):
         with pytest.raises(ConfigurationError):

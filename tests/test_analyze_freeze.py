@@ -7,6 +7,7 @@ Without the sanitizer the bug corrupts state silently; with
 site.  That pair of assertions is the sanitizer's contract.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -92,6 +93,40 @@ def test_frozen_containers_print_as_builtins(value):
     # Traces record payload reprs: sanitized and plain runs must agree.
     for source in (value, [value], {"k": value}):
         assert repr(deep_freeze(source)) == repr(source)
+
+
+def _shrunken_set():
+    # Grown to ten elements and shrunk to two: its table is larger than
+    # a fresh copy's, so it iterates in a different order from one
+    # ([7, 8] against [8, 7]).
+    values = set(range(10))
+    for value in (0, 1, 2, 3, 4, 5, 6, 9):
+        values.discard(value)
+    return values
+
+
+def test_frozen_set_iterates_like_its_source():
+    source = _shrunken_set()
+    assert list(set(source)) != list(source)  # the case at stake
+    frozen = deep_freeze(source)
+    assert list(frozen) == list(source)
+    assert repr(frozen) == repr(source)
+    assert repr(deep_freeze([source])) == repr([source])
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, copy.copy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["deepcopy", "copy", "pickle"],
+)
+def test_frozen_set_copies_keep_order_and_type(clone):
+    source = _shrunken_set()
+    copied = clone(deep_freeze(source))
+    assert isinstance(copied, FrozenSetView)
+    assert copied == source
+    assert list(copied) == list(source)
+    with pytest.raises(FrozenMutationError):
+        copied.add(1)
 
 
 def test_freeze_is_deep_and_source_untouched():

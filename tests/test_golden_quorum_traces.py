@@ -9,14 +9,22 @@ identical** there — these hashes, captured from the pre-fix code, pin
 that: any divergence in the full event trace (sends, deliveries, timer
 fires, decisions) fails the test.
 
+The :class:`QuorumAbdNode` pins were captured while it still kept its
+own copies of ABD's reply and ack handlers; it now shares them and
+overrides only the completion predicate, so the same runs must give the
+same traces.
+
 If a *deliberate* protocol change invalidates them, re-capture with the
 run functions below and say why in the commit.
 """
 
+import pytest
+
 from repro.amp.abd import AbdNode, FastReadAbdNode
 from repro.amp.consensus.paxos import make_paxos
 from repro.amp.failure_detectors import OmegaFD
-from repro.amp.network import CrashAt, UniformDelay, run_processes
+from repro.amp.network import CrashAt, DuplicatingLink, UniformDelay, run_processes
+from repro.amp.quorums import QuorumAbdNode, majority_family
 from repro.core.history import History
 from repro.trace import MemorySink, trace_hash
 
@@ -27,6 +35,25 @@ GOLDEN = {
     ("fastread", 11): "c377019cacc6c34d00c74f3d91bf2d5614c44b5153221f0d2d60be374addf317",
     ("paxos", 3): "c885cf11fd0c0adbf6c05f48611498d4201339ef25b8083bce4daee9bbe3ce66",
     ("paxos", 11): "b54fdd152dc0c9847f3ee5197cb1309ba923682856dff0ac5d1d2fbbdb74da80",
+}
+
+#: (family, multi_writer, seed) -> trace hash of :func:`quorum_abd_trace`.
+QUORUM_GOLDEN = {
+    ("majority", False, 3): "dafaf4a0db41cde68ac32e0fe5c1ff21d94cc6e47cdbb8ff4f03b22c4da9cbc0",
+    ("majority", False, 11): "522f632404539556f2b480c7324222c59c8ef9f6cef88eaf308fae2aa1565470",
+    ("majority", True, 3): "d823575cb18157c2d0d223ed4dd3128eb93809377d88326014211125bc9ba47d",
+    ("majority", True, 11): "a7da2e8471552b3232c1dc493cc202e0bd2721e503ee72e7c07af125cf52008f",
+    ("nonmajority", False, 3): "eba87ffdbe7595af3b316152fa8023114b435431cf7d48c1eb5fe038ba47bf9e",
+    ("nonmajority", False, 11): "b4ced584e7024583fcdbce431e19e0b864c50679057b682e6f97d77869875794",
+    ("nonmajority", True, 3): "53ccdfcfb2be674a9f0d27ea642ac031b8dfa82ae39d701b3ab068c2b0fea602",
+    ("nonmajority", True, 11): "ab83560ed7f5200bc0392db407feaf417c603caaeee7f72a3befabfe9b8c23f5",
+}
+
+#: Quorum families for the QuorumAbdNode pins: classical majorities, and
+#: a non-majority family whose quorums all contain process 0.
+QUORUM_FAMILIES = {
+    "majority": majority_family(5),
+    "nonmajority": [{0, 1}, {0, 2, 3}, {0, 1, 3, 4}],
 }
 
 
@@ -47,6 +74,47 @@ def abd_trace(node_cls, seed):
         nodes,
         seed=seed,
         delay_model=UniformDelay(0.1, 1.5),
+        crashes=[CrashAt(pid=4, time=2.0)],
+        max_crashes=1,
+        sink=sink,
+    )
+    return trace_hash(sink.events)
+
+
+def quorum_abd_trace(family, multi_writer, seed):
+    """One crash (process 4) over duplicating links; MWMR runs have two
+    writers, SWMR runs one."""
+    n = 5
+    history = History()
+    if multi_writer:
+        scripts = {
+            0: [("write", "a"), ("read",)],
+            1: [("pause", 1.0), ("write", "b"), ("read",)],
+            2: [("read",), ("pause", 2.0), ("read",)],
+        }
+    else:
+        scripts = {
+            0: [("write", "a"), ("pause", 1.0), ("write", "c")],
+            1: [("pause", 1.0), ("read",), ("read",)],
+            2: [("read",), ("pause", 2.0), ("read",)],
+        }
+    nodes = [
+        QuorumAbdNode(
+            pid,
+            n,
+            QUORUM_FAMILIES[family],
+            scripts.get(pid, []),
+            history=history,
+            multi_writer=multi_writer,
+        )
+        for pid in range(n)
+    ]
+    sink = MemorySink()
+    run_processes(
+        nodes,
+        seed=seed,
+        delay_model=UniformDelay(0.1, 1.5),
+        link_model=DuplicatingLink(0.3),
         crashes=[CrashAt(pid=4, time=2.0)],
         max_crashes=1,
         sink=sink,
@@ -92,3 +160,12 @@ class TestPaxosPromiseDedupIsBehaviorIdentical:
         trace, decided = paxos_trace(11)
         assert trace == GOLDEN[("paxos", 11)]
         assert len(decided) == 1
+
+
+class TestQuorumAbdSharesAbdHandlers:
+    @pytest.mark.parametrize("family,multi_writer,seed", sorted(QUORUM_GOLDEN))
+    def test_quorum_abd_trace(self, family, multi_writer, seed):
+        assert (
+            quorum_abd_trace(family, multi_writer, seed)
+            == QUORUM_GOLDEN[(family, multi_writer, seed)]
+        )

@@ -146,6 +146,38 @@ class TestAmpReplayDeterminism:
         assert trace_hash(replay_sink.events) == trace_hash(sink.events)
         assert replayed == original
 
+    def test_sanitized_shrunken_set_replays(self):
+        """A set that grew and then shrank iterates in a different order
+        from a fresh copy of it; the frozen payload keeps the source's
+        order, so the recording and its unsanitized replay agree."""
+
+        def shrunken():
+            values = set(range(10))
+            for value in (0, 1, 2, 3, 4, 5, 6, 9):
+                values.discard(value)
+            return values
+
+        class ShrunkenSetBroadcaster(AsyncProcess):
+            def on_start(self, ctx):
+                ctx.broadcast(shrunken())
+
+            def on_message(self, ctx, src, message):
+                ctx.decide(list(message))
+
+        sink = MemorySink()
+        original = AsyncRuntime(
+            [ShrunkenSetBroadcaster() for _ in range(2)], sanitize=True, sink=sink
+        ).run()
+        assert sink.events[0].data["payload"] == repr(shrunken()) == "{7, 8}"
+        replay_sink = MemorySink()
+        replayed = replay(
+            [ShrunkenSetBroadcaster() for _ in range(2)],
+            sink.events,
+            sink=replay_sink,
+        )
+        assert trace_hash(replay_sink.events) == trace_hash(sink.events)
+        assert replayed == original
+
     def test_decisions_helper_matches_result(self, trace_artifact):
         n, t, inputs, original, events = capture_benor(5)
         replayed = replay(
