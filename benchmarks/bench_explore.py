@@ -430,6 +430,19 @@ def test_explore_reduction(benchmark):
     benchmark.pedantic(body, rounds=1, iterations=1)
 
 
+def test_scd_three_broadcasters_exhaustive():
+    """SCD with three broadcasters, n=3, explored exhaustively by the
+    serial engine: every reachable configuration is coherent, and the
+    state and transition counts are exact."""
+    result = explore(
+        AmpModel(make_scd_nodes([["a"], ["b"], ["c"]])),
+        [scd_coherence()],
+        reduce=False,
+    )
+    assert result.ok and result.complete
+    assert (result.stats.states, result.stats.transitions) == (329_593, 1_409_598)
+
+
 def main(argv=None):
     import argparse
 

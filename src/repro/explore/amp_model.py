@@ -20,37 +20,53 @@ per choice, at one tick of virtual time each; a choice is one of:
   each pid recovers at most once per run so faulty branches stay
   finite).
 
-Processes are mutable Python objects and cannot be forked, so the
-search is **stateless**: a configuration is the schedule prefix itself,
-re-executed from fresh ``factory()`` instances on demand.  The model
-keeps only the prefix it materialized last: every engine asks all it
-needs about a prefix (fingerprint, properties, enabled choices) right
-after materializing it.
+Processes are mutable Python objects and cannot be forked, so a
+configuration is the schedule prefix itself.  Its **abstract state** is
+folded from the root's, one choice at a time: each process's interned
+*local state*, the pending sends and timers by seq, the crashed and
+recovered sets, the loss/duplication budgets and the send and timer
+counters.  A local state is keyed by ``(pid, render, storage)``: the
+process's attributes, context and RNG state rendered as text, and its
+stable storage rendered likewise.  It keeps those renders, the context's
+decided/output/halted and the process object of the run that first
+reached it.
+
+Crash, lose and dup are bookkeeping on the abstract state.  Deliver,
+timer and recover run a handler, and the fold looks each one up in a
+memo keyed by ``(local state, event, now)`` (a local state names its
+pid): the event is the delivered message's ``(src, repr(payload))``,
+the timer's ``repr(name)`` or the recovery, and ``now`` is the choice's
+tick (handlers may store ``ctx.time``).  An entry holds the target's new
+local state, the sends it parked, in seq order, and the timers it set.
+On a miss, and on any choice the fold cannot check, :meth:`AmpModel._run`
+re-executes the prefix up to that choice from fresh ``factory()``
+instances: a miss reads the step's outcome off that runtime, a bad
+choice raises there.  ``_run`` is the only code that runs handlers, so
+each handler runs once per distinct (local state, event, tick).  The
+memo rests on three assumptions.  A step mutates only its target
+process; equal renders behave alike; a handler reads only its process,
+its context, RNG and storage, the event and ``ctx.time``: no failure
+detector is attached.  Processes that share a mutable object break the
+first; explore SCD object nodes with ``history=None``, since a shared
+:class:`~repro.core.history.History` is mutated by every node (and its
+address-bearing ``repr`` defeats dedup anyway).  The model keeps the
+abstract state of the prefix it folded last, since every engine asks
+all it needs about a prefix (fingerprint, properties, enabled choices)
+right after folding it, and that of its parent, from which BFS
+siblings, a DFS path and a walk fold their last choice.
 
 The visited-set fingerprint is a sha256 over a canonical rendering of
-the global state: each process's attributes, context and RNG, then the
-crashed and recovered sets, the loss/duplication budgets, the stable
-storages and the pending message/timer multisets — two prefixes that
-converge to the same global state dedup even though their schedules
-differ.  The rendering is assembled from per-process parts and the
-shared parts (everything after the processes).  The per-process parts
-of expanded configurations are kept for one BFS level (one per depth
-along a DFS path or a random walk).  A child re-renders only the
-process its last choice targets (none for ``lose``/``dup``) and the
-shared parts, and takes the others from its parent; without the
-parent's parts it renders every process.  The digest is the same either
-way.
+the global state: each process's render, then the crashed and recovered
+sets, the loss/duplication budgets, the stable storages and the pending
+message/timer multisets — two prefixes that converge to the same global
+state dedup even though their schedules differ.  The text is assembled
+from the renders the local states keep.
 
 Independence: two choices commute iff they touch different target
 processes (handlers only mutate their own process; new sends land in
 the pending *multiset*, which ignores order).  Crash choices are
 conservatively dependent on each other (a crash budget makes one crash
-disable another).  The incremental fingerprint rests on the same
-contract: a step mutates only its target process.  Processes that share
-a mutable object break it; explore SCD object nodes with
-``history=None``, since a shared
-:class:`~repro.core.history.History` is mutated by every node (and its
-address-bearing ``repr`` defeats dedup anyway).
+disable another).
 
 Counterexamples record the schedule through a sink-instrumented run and
 replay it byte-identically via :func:`repro.trace.replay.replay`, which
@@ -60,7 +76,9 @@ drives the same runtime class from the recorded events.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import count
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..amp.network import AsyncProcess, DrivenRuntime
 from ..core.exceptions import ConfigurationError
@@ -74,6 +92,44 @@ from .model import ExplorationModel, Interner
 
 Choice = Tuple
 Prefix = Tuple[Choice, ...]
+
+
+@dataclass(eq=False)  # hashed by identity: a memo key part
+class _Local:
+    """One process's interned local state (see the module docstring)."""
+
+    render: str
+    storage: str
+    decided: bool
+    output: object
+    halted: bool
+    process: AsyncProcess
+
+
+@dataclass
+class _State:
+    """A prefix's abstract state: what the fold steps and every query reads.
+
+    ``pending`` maps a send seq to ``(src, dst, payload, units,
+    repr(payload))``, ``timers`` a timer seq to ``(pid, name, repr(name))``.
+    """
+
+    locals: List[_Local]
+    pending: Dict[int, tuple]
+    timers: Dict[int, tuple]
+    crashed: Set[int]
+    recovered: Set[int]
+    losses: int
+    duplicated: int
+    sends: int
+    timer_count: int
+
+    def copy(self) -> "_State":
+        return _State(
+            list(self.locals), dict(self.pending), dict(self.timers),
+            set(self.crashed), set(self.recovered), self.losses,
+            self.duplicated, self.sends, self.timer_count,
+        )
 
 
 class AmpModel(ExplorationModel):
@@ -133,15 +189,20 @@ class AmpModel(ExplorationModel):
         self.stop_when_settled = stop_when_settled
         self.n = len(list(factory()))
         self._intern = Interner()
-        #: the prefix materialized last, its runtime, and (once rendered)
-        #: its per-pid fingerprint parts
+        #: (pid, render, storage) → the interned local state
+        self._locals: Dict[Tuple[int, str, str], _Local] = {}
+        #: (local state, source, event, now) → (the target's new
+        #: local state, its parked sends, its set timers)
+        self._steps: Dict[tuple, Tuple[_Local, tuple, tuple]] = {}
+        self._root: Optional[_State] = None
+        #: the prefix folded last and its abstract state
         self._slot_prefix: Optional[Prefix] = None
-        self._slot_runtime: Optional[DrivenRuntime] = None
-        self._slot_parts: Optional[List[str]] = None
-        #: depth → {expanded prefix: its per-pid parts}; see _keep_parts
-        self._levels: List[Dict[Prefix, List[str]]] = []
+        self._slot_state: Optional[_State] = None
+        #: the slot prefix's parent and its abstract state
+        self._parent_prefix: Optional[Prefix] = None
+        self._parent_state: Optional[_State] = None
 
-    # -- stateless materialization ----------------------------------------
+    # -- replay: the only code that runs handlers ----------------------------
 
     def _run(
         self, schedule: Sequence[Choice], sink: Optional[TraceSink] = None
@@ -186,15 +247,6 @@ class AmpModel(ExplorationModel):
                 raise ConfigurationError(f"unknown exploration choice {choice!r}")
         return runtime
 
-    def _materialize(self, prefix: Prefix) -> DrivenRuntime:
-        if prefix != self._slot_prefix:
-            self._slot_runtime = self._run(prefix)
-            self._slot_prefix = prefix
-            self._slot_parts = None
-        return self._slot_runtime
-
-    # -- fingerprint parts ---------------------------------------------------
-
     def _render_pid(self, runtime: DrivenRuntime, pid: int) -> str:
         """``pid``'s entries of the fingerprint's parts list, as they
         appear inside its ``repr``."""
@@ -208,42 +260,158 @@ class AmpModel(ExplorationModel):
             text += f", {repr(rng.getstate())!r}"
         return text
 
-    def _pid_parts(self, prefix: Prefix, runtime: DrivenRuntime) -> List[str]:
-        """Every pid's rendered parts after ``prefix``: the parent's, with
-        the last choice's target re-rendered, when the parent was kept."""
-        parts = self._slot_parts
-        if parts is not None:
-            return parts
-        levels = self._levels
-        depth = len(prefix) - 1
-        parent = levels[depth].get(prefix[:-1]) if 0 <= depth < len(levels) else None
-        if parent is None:
-            parts = [self._render_pid(runtime, pid) for pid in range(self.n)]
+    def _local(self, runtime: DrivenRuntime, pid: int) -> _Local:
+        """``pid``'s local state in ``runtime``, interned."""
+        render = self._render_pid(runtime, pid)
+        storage = repr(sorted(
+            (repr(k), repr(v)) for k, v in runtime.storages[pid].snapshot().items()
+        ))
+        key = (pid, render, storage)
+        local = self._locals.get(key)
+        if local is None:
+            ctx = runtime.contexts[pid]
+            local = self._locals[key] = _Local(
+                render, storage, ctx.decided, ctx.output, ctx.halted,
+                runtime.processes[pid],
+            )
+        return local
+
+    def _absorb(self, runtime: DrivenRuntime) -> _State:
+        """The abstract state of a replayed runtime."""
+        return _State(
+            [self._local(runtime, pid) for pid in range(self.n)],
+            {
+                seq: (src, dst, payload, units, repr(payload))
+                for seq, (src, dst, payload, units) in runtime.pending.items()
+            },
+            {
+                seq: (pid, name, repr(name))
+                for seq, (pid, name) in runtime.pending_timers.items()
+            },
+            set(runtime.crashed),
+            set(runtime.recovered),
+            runtime.losses,
+            runtime.duplicated,
+            runtime._send_counter,
+            runtime._timer_counter,
+        )
+
+    # -- the fold --------------------------------------------------------------
+
+    def _state(self, prefix: Prefix) -> _State:
+        if prefix != self._slot_prefix:
+            if self._root is None:
+                self._root = self._absorb(self._run(()))
+            if prefix:
+                # BFS siblings, a DFS path and a walk all fold their last
+                # choice onto the parent's state.
+                parent = prefix[:-1]
+                if parent != self._parent_prefix:
+                    self._parent_state = (
+                        self._slot_state if parent == self._slot_prefix
+                        else self._fold(self._root, parent, 0)
+                    )
+                    self._parent_prefix = parent
+                state = self._fold(self._parent_state, prefix, len(parent))
+            else:
+                state = self._root
+            self._slot_prefix = prefix
+            self._slot_state = state
+        return self._slot_state
+
+    def _fold(self, state: _State, prefix: Prefix, start: int) -> _State:
+        """The abstract state after ``prefix``, from ``state``, that of
+        ``prefix[:start]`` (which stays untouched)."""
+        state = state.copy()
+        for i in range(start, len(prefix)):
+            if not self._advance(state, prefix, i):
+                # Not a step the fold can check: replay it, which raises
+                # the error a bad choice raises.
+                state = self._absorb(self._run(prefix[:i + 1]))
+        return state
+
+    def _advance(self, state: _State, prefix: Prefix, i: int) -> bool:
+        """Apply ``prefix[i]`` to ``state`` in place, mirroring ``_run``;
+        False (``state`` untouched) for an unknown kind, a missing seq, a
+        dead target or a second crash."""
+        choice = prefix[i]
+        kind = choice[0]
+        target = choice[1] if len(choice) > 1 else None
+        crashed = state.crashed
+        if kind == "deliver":
+            entry = state.pending.get(target)
+            if entry is None or entry[1] in crashed or state.locals[entry[1]].halted:
+                return False
+            del state.pending[target]
+            self._handle(state, prefix, i, entry[1], entry[0], entry[4])
+        elif kind == "timer":
+            entry = state.timers.get(target)
+            if entry is None or entry[0] != choice[2]:
+                return False
+            pid = entry[0]
+            if pid in crashed or state.locals[pid].halted:
+                return False
+            del state.timers[target]
+            self._handle(state, prefix, i, pid, "timer", entry[2])
+        elif kind == "lose" or kind == "dup":
+            entry = state.pending.get(target)
+            if entry is None:
+                return False
+            if kind == "lose":
+                del state.pending[target]
+                state.losses += 1
+            else:
+                state.pending[state.sends] = entry
+                state.sends += 1
+                state.duplicated += 1
+        elif kind == "crash":
+            if target in crashed or target not in range(self.n):
+                return False
+            crashed.add(target)
+            if self.allow_recovery:
+                # Timers are volatile, as in _run.
+                timers = state.timers
+                for seq in [seq for seq, entry in timers.items() if entry[0] == target]:
+                    del timers[seq]
+        elif kind == "recover":
+            if target not in crashed:
+                return False
+            crashed.discard(target)
+            state.recovered.add(target)
+            self._handle(state, prefix, i, target, "recover", None)
         else:
-            parts = list(parent)
-            choice = prefix[-1]
-            if choice[0] not in ("lose", "dup"):  # those touch no process
-                pid = choice[-1]
-                parts[pid] = self._render_pid(runtime, pid)
-        self._slot_parts = parts
-        return parts
+            return False
+        return True
 
-    def _keep_parts(self, prefix: Prefix, parts: List[str]) -> None:
-        """Keep an expanded prefix's parts for its children.
-
-        Levels deeper than the prefix are dropped (a DFS backtracked, a
-        walk restarted).  When a level is first entered, the level two
-        above keeps only its newest entry: BFS needs none of it any
-        more, and under DFS the newest entry is the current path's.
-        """
-        depth = len(prefix)
-        levels = self._levels
-        del levels[depth + 1:]
-        if depth == len(levels) and depth >= 2 and len(levels[depth - 2]) > 1:
-            levels[depth - 2] = dict([levels[depth - 2].popitem()])
-        while len(levels) <= depth:
-            levels.append({})
-        levels[depth][prefix] = parts
+    def _handle(
+        self, state: _State, prefix: Prefix, i: int, pid: int, source, event
+    ) -> None:
+        """Run ``pid``'s handler for ``prefix[i]`` on ``state``: from the
+        memo, or on a miss by replaying the prefix through that choice.
+        ``source`` is the delivered message's src, or ``"timer"`` or
+        ``"recover"``; ``event`` the payload's or timer name's ``repr``."""
+        key = (state.locals[pid], source, event, i + 1)
+        outcome = self._steps.get(key)
+        if outcome is None:
+            runtime = self._run(prefix[:i + 1])
+            pending, timers = runtime.pending, runtime.pending_timers
+            outcome = self._steps[key] = (
+                self._local(runtime, pid),
+                tuple(
+                    pending[seq] + (repr(pending[seq][2]),)
+                    for seq in range(state.sends, runtime._send_counter)
+                ),
+                tuple(
+                    timers[seq] + (repr(timers[seq][1]),)
+                    for seq in range(state.timer_count, runtime._timer_counter)
+                ),
+            )
+        local, sends, set_timers = outcome
+        state.locals[pid] = local
+        state.pending.update(zip(count(state.sends), sends))
+        state.sends += len(sends)
+        state.timers.update(zip(count(state.timer_count), set_timers))
+        state.timer_count += len(set_timers)
 
     # -- the model contract ------------------------------------------------
 
@@ -251,87 +419,82 @@ class AmpModel(ExplorationModel):
         return ()
 
     def enabled(self, prefix: Prefix) -> List[Choice]:
-        runtime = self._materialize(prefix)
-        settled = self.stop_when_settled and runtime._all_settled()
+        state = self._state(prefix)
+        crashed, locals_ = state.crashed, state.locals
+        settled = self.stop_when_settled and all(
+            pid in crashed or local.decided or local.halted
+            for pid, local in enumerate(locals_)
+        )
         choices: List[Choice] = []
         if not settled:
-            for seq in sorted(runtime.pending):
-                dst = runtime.pending[seq][1]
-                if dst not in runtime.crashed and not runtime.contexts[dst].halted:
+            for seq in sorted(state.pending):
+                dst = state.pending[seq][1]
+                if dst not in crashed and not locals_[dst].halted:
                     choices.append(("deliver", seq, dst))
-                if runtime.losses < self.max_losses:
+                if state.losses < self.max_losses:
                     choices.append(("lose", seq, dst))
-                if runtime.duplicated < self.max_duplications:
+                if state.duplicated < self.max_duplications:
                     choices.append(("dup", seq, dst))
-            for seq in sorted(runtime.pending_timers):
-                pid, _ = runtime.pending_timers[seq]
-                if pid not in runtime.crashed and not runtime.contexts[pid].halted:
+            for seq in sorted(state.timers):
+                pid = state.timers[seq][0]
+                if pid not in crashed and not locals_[pid].halted:
                     choices.append(("timer", seq, pid))
-            if len(runtime.crashed) < self.max_crashes:
+            if len(crashed) < self.max_crashes:
                 for pid in range(self.n):
-                    if pid not in runtime.crashed:
+                    if pid not in crashed:
                         choices.append(("crash", pid))
         if self.allow_recovery:
             # Recovery stays on the menu even in settled configurations:
             # a recovered process may un-settle the run (that branch is
             # exactly where memory-only protocols break).
-            for pid in sorted(runtime.crashed):
-                if pid not in runtime.recovered:
+            for pid in sorted(crashed):
+                if pid not in state.recovered:
                     choices.append(("recover", pid))
-        if choices:  # an expansion: the children will look for its parts
-            self._keep_parts(prefix, self._pid_parts(prefix, runtime))
         return choices
 
     def step(self, prefix: Prefix, choice: Choice) -> Prefix:
         return prefix + (choice,)
 
     def fingerprint(self, prefix: Prefix) -> str:
-        runtime = self._materialize(prefix)
-        shared = [
-            sorted(runtime.crashed),
-            sorted(runtime.recovered),
-            (runtime.losses, runtime.duplicated),
-            [
-                sorted(
-                    (repr(k), repr(v))
-                    for k, v in runtime.storages[pid].snapshot().items()
-                )
-                for pid in range(self.n)
-            ],
-            sorted(
-                (src, dst, repr(payload))
-                for (src, dst, payload, _) in runtime.pending.values()
-            ),
-            sorted(
-                (pid, repr(name)) for (pid, name) in runtime.pending_timers.values()
-            ),
-        ]
-        pids = ", ".join(self._pid_parts(prefix, runtime))
-        # The repr of one list: every pid's parts, then the shared parts.
-        text = f"[{pids}, {repr(shared)[1:-1]}]"
+        state = self._state(prefix)
+        locals_ = state.locals
+        # The repr of one list: every pid's render, then the shared parts.
+        shared = ", ".join((
+            repr(sorted(state.crashed)),
+            repr(sorted(state.recovered)),
+            repr((state.losses, state.duplicated)),
+            "[" + ", ".join(local.storage for local in locals_) + "]",
+            repr(sorted(
+                (src, dst, text) for (src, dst, _, _, text) in state.pending.values()
+            )),
+            repr(sorted((pid, text) for (pid, _, text) in state.timers.values())),
+        ))
+        pids = ", ".join(local.render for local in locals_)
+        text = f"[{pids}, {shared}]"
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._intern(digest)
 
     def processes(self, prefix: Prefix) -> List[AsyncProcess]:
-        """The materialized process objects after ``prefix``.
+        """The process objects after ``prefix``.
 
-        Read-only by contract: properties inspect protocol state the
-        processes expose (delivery histories, views) beyond the bare
-        ``decisions`` map.  Mutating them would corrupt the materialized
-        prefix and the fingerprint parts kept for its children.
+        Shared and read-only: each is the object of the run that first
+        reached its local state, and every prefix that reaches that
+        state returns the same object.  Properties inspect protocol
+        state the processes expose (delivery histories, views) beyond
+        the bare ``decisions`` map; mutating them would corrupt every
+        later query that reaches them.
         """
-        return list(self._materialize(prefix).processes)
+        return [local.process for local in self._state(prefix).locals]
 
     def decisions(self, prefix: Prefix) -> Dict[int, object]:
-        runtime = self._materialize(prefix)
         return {
-            pid: runtime.contexts[pid].output
-            for pid in range(self.n)
-            if runtime.contexts[pid].decided
+            pid: local.output
+            for pid, local in enumerate(self._state(prefix).locals)
+            if local.decided
         }
 
     def crashed(self, prefix: Prefix) -> frozenset:
-        return frozenset(self._materialize(prefix).crashed)
+        return frozenset(self._state(prefix).crashed)
 
     _FAULT_CHOICES = frozenset({"crash", "recover"})
 

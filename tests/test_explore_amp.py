@@ -1,6 +1,8 @@
 """AMP exploration: delivery orders, crashes, losses, duplications,
 recovery, and byte-identical replay."""
 
+import re
+
 import pytest
 
 from repro.core import ConfigurationError
@@ -161,9 +163,35 @@ class TestModelMechanics:
         bad = model.step(model.initial(), ("warp", 3))
         with pytest.raises(ConfigurationError):
             model.enabled(bad)
-        runtime_misuse = model._materialize(model.initial())
+        runtime_misuse = model._run(())
         with pytest.raises(ConfigurationError):
             runtime_misuse.run()
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            (("warp",),),
+            (("deliver",),),
+            (("deliver", 99, 1),),
+            (("timer", 0, 1),),
+            (("lose", 99, 0),),
+            (("dup", 99, 0),),
+            (("crash", 7),),
+            (("recover", 0),),
+            (("crash", 0), ("crash", 0)),
+            (("crash", 1), ("deliver", 0, 1)),
+        ],
+    )
+    def test_unchecked_choice_raises_as_replay_does(self, prefix):
+        """A choice the fold cannot check goes to ``_run``, so every query
+        raises the error the replay raises, each time it is asked."""
+        model = AmpModel(make_flood_min([1, 0]), max_crashes=2)
+        with pytest.raises(Exception) as replayed:
+            model._run(prefix)
+        error = type(replayed.value), re.escape(str(replayed.value))
+        for query in (model.fingerprint, model.enabled, model.fingerprint):
+            with pytest.raises(error[0], match=error[1]):
+                query(prefix)
 
     def test_describe_choice(self):
         model = AmpModel(make_flood_min([1, 0]))
