@@ -8,11 +8,31 @@ acknowledging everything and delivering each sequence number once.
 
 :class:`ReliableChannel` implements exactly that as a transparent
 :class:`~repro.amp.network.AsyncProcess` wrapper: the inner protocol
-runs unchanged, its sends are tagged with per-destination sequence
-numbers and buffered until acked, a periodic retransmission timer
-re-offers the unacked backlog, and duplicate arrivals (wire duplicates
-*or* retransmissions racing an ack) are filtered before the inner
-``on_message`` sees them.
+runs unchanged, each of its send calls (a ``send`` or a whole
+``broadcast``) takes one sequence number, shared by all of its copies,
+and goes out as one send call of the runtime, so a broadcast's payload
+is measured once.  Every copy is buffered per ``(dst, seq)`` until that
+destination acks it, a periodic retransmission timer re-offers the
+unacked backlog copy by copy, and duplicate arrivals (wire duplicates
+*or* retransmissions racing an ack) are filtered on ``(src, seq)``
+before the inner ``on_message`` sees them.
+
+Sequence numbers across incarnations: a recovered process restarts its
+channel from scratch, but its peers still hold the ``(src, seq)`` pairs
+of its earlier incarnations.  The channel therefore counts its
+recoveries in ``ctx.stable`` and numbers the sends of incarnation
+``i > 0`` as ``(i, k)``; a process that never recovers sends plain
+``k``, as before.
+
+Event order: the copies of a fan-out draw their fates and delays and
+take their event ids in ascending destination order, as one send per
+destination would, and the retry timer that a send call arms takes its
+event id after all of that call's copies (a channel sending once per
+destination armed it after the first copy).  The two orders part only
+when the timer fires at the very time some of those copies arrive,
+i.e. when their delay equals ``retry_every`` (``FixedDelay(d)`` with
+``retry_every == d``): the timer then fires after all of them instead
+of after the first, and message counts and times can differ.
 
 The payoff is *observational equivalence*: a protocol stacked on
 :class:`ReliableChannel` over a lossy/duplicating link reaches the same
@@ -25,7 +45,7 @@ point: the reduction buys safety, not speed.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from ..core.exceptions import ConfigurationError
 from .network import AmpRunResult, AsyncProcess, Context
@@ -35,6 +55,8 @@ _DATA = "rdx"
 _ACK = "rdx-ack"
 _RETRY = ("rdx-retry",)
 _INNER = "rdx-inner"
+#: the channel's ``ctx.stable`` key: how many times this process recovered
+_INCARNATION = ("rdx-incarnation",)
 
 
 class _LinkContext:
@@ -79,13 +101,18 @@ class _LinkContext:
         return self._ctx.stable
 
     def send(self, dst: int, payload: object) -> None:
-        self._channel._reliable_send(self._ctx, dst, payload)
+        channel = self._channel
+        self._ctx.send(dst, channel._outgoing((dst,), payload))
+        channel._arm_retry(self._ctx)
 
     def broadcast(self, payload: object, include_self: bool = True) -> None:
-        for dst in range(self.n):
-            if dst == self.pid and not include_self:
-                continue
-            self.send(dst, payload)
+        ctx = self._ctx
+        dsts = range(ctx.n)
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != ctx.pid]
+        channel = self._channel
+        ctx.broadcast(channel._outgoing(dsts, payload), include_self)
+        channel._arm_retry(ctx)
 
     def set_timer(self, delay: float, name: object = None) -> None:
         self._ctx.set_timer(delay, (_INNER, name))
@@ -119,21 +146,33 @@ class ReliableChannel(AsyncProcess):
             raise ConfigurationError("retry_every must be > 0")
         self.inner = inner
         self.retry_every = retry_every
-        #: (dst, seq) → payload, awaiting the destination's ack
-        self._unacked: Dict[Tuple[int, int], object] = {}
-        self._next_seq: Dict[int, int] = {}
+        #: (dst, seq) → the wire message, awaiting the destination's ack
+        self._unacked: Dict[Tuple[int, object], tuple] = {}
+        #: seq of the next inner send call in this incarnation
+        self._next_seq = 0
+        #: recoveries so far (restored from ``ctx.stable`` in on_recover)
+        self._incarnation = 0
         #: (src, seq) pairs already delivered to the inner protocol
-        self._seen: Set[Tuple[int, int]] = set()
+        self._seen: Set[Tuple[int, object]] = set()
         self._retry_armed = False
         self._inner_halted = False
 
     # -- sender side -------------------------------------------------------
 
-    def _reliable_send(self, ctx: Context, dst: int, payload: object) -> None:
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
-        self._unacked[(dst, seq)] = payload
-        ctx.send(dst, (_DATA, seq, payload))
+    def _outgoing(self, dsts: Iterable[int], payload: object) -> tuple:
+        """Number one inner send call and buffer its copy to each of
+        ``dsts`` until acked; returns the wire message they share."""
+        seq: object = self._next_seq
+        self._next_seq += 1
+        if self._incarnation:
+            seq = (self._incarnation, seq)
+        message = (_DATA, seq, payload)
+        unacked = self._unacked
+        for dst in dsts:
+            unacked[(dst, seq)] = message
+        return message
+
+    def _arm_retry(self, ctx: Context) -> None:
         if not self._retry_armed:
             self._retry_armed = True
             ctx.set_timer(self.retry_every, _RETRY)
@@ -163,18 +202,21 @@ class ReliableChannel(AsyncProcess):
             if self._unacked:
                 # Sorted for determinism: the analyzer's rule that no
                 # unordered iteration feeds sends applies here too.
-                for (dst, seq), payload in sorted(self._unacked.items()):
-                    ctx.send(dst, (_DATA, seq, payload))
-                self._retry_armed = True
-                ctx.set_timer(self.retry_every, _RETRY)
+                for (dst, _seq), message in sorted(self._unacked.items()):
+                    ctx.send(dst, message)
+                self._arm_retry(ctx)
         elif isinstance(name, tuple) and len(name) == 2 and name[0] == _INNER:
             if not self._inner_halted:
                 self.inner.on_timer(_LinkContext(self, ctx), name[1])
 
     def on_recover(self, ctx: Context) -> None:
         # The channel's buffers were volatile too: a recovered process
-        # restarts its channel layer from scratch (sequence numbers and
-        # dedup state reset with the rest of memory).
+        # restarts its channel layer from scratch (backlog, sequence
+        # counter and dedup state reset with the rest of memory).  The
+        # peers' dedup sets still hold this process's earlier seqs, so
+        # the incarnation count is durable and tags every later seq.
+        self._incarnation = ctx.stable.get(_INCARNATION, 0) + 1
+        ctx.stable.put(_INCARNATION, self._incarnation)
         self.inner.on_recover(_LinkContext(self, ctx))
 
 

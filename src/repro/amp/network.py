@@ -934,8 +934,8 @@ class DrivenRuntime(AsyncRuntime):
     constructed state :meth:`recover` restores.
 
     It builds none of the event loop's state (delay and link models, root
-    RNG, heap, cancel set): the explorer starts one per materialized
-    prefix.
+    RNG, heap, cancel set): the explorer starts one per miss of its
+    handler-step memo, not one per explored prefix.
     """
 
     divergence = ConfigurationError

@@ -4,23 +4,31 @@ The acceptance bar: retransmit + dedup (:class:`ReliableChannel`) over a
 fair-loss link is *observationally equivalent* to the bare protocol over
 the paper's reliable link — pinned as golden ``observation_hash`` values
 for flooding, reliable broadcast, and ABD, across seeds and under a
-crash schedule.
+crash schedule.  The channel numbers each send call once; the
+per-destination channel it replaced is kept below as the differential
+reference for every crash-stop run.
 """
 
+import importlib
 import random
+from typing import Dict, Set, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ConfigurationError
+from repro.core.volume import payload_units
 from repro.amp import (
     AbdNode,
     AsyncProcess,
     AsyncRuntime,
+    Context,
     CrashAt,
     DuplicatingLink,
     FairLossLink,
     FixedDelay,
     LinkModel,
+    RecoverAt,
     ReliableBroadcast,
     ReliableChannel,
     ReliableLink,
@@ -30,6 +38,7 @@ from repro.amp import (
     wrap_reliable,
 )
 from repro.trace import DELIVER, DROP, SEND, MemorySink, replay, trace_hash
+from tests.test_amp_network import Scripted, _payloads
 
 
 class LoseFirst(LinkModel):
@@ -306,6 +315,45 @@ class TestReliableChannel:
             # newest — exactly the copies addressed to the later dst.
             assert (procs[1].got, procs[2].got) == expect, f"drop={drop}"
 
+    def test_recovered_sender_is_not_deduplicated_away(self):
+        """A recovered process's channel restarts its sequence counter,
+        but its peers still hold the earlier incarnations' ``(src, seq)``
+        pairs: what it sends after each recovery must still be delivered,
+        on reliable links too."""
+
+        class Restarter(AsyncProcess):
+            def on_start(self, ctx):
+                if ctx.pid == 1:
+                    ctx.send(0, "before-crash")
+
+            def on_recover(self, ctx):
+                ctx.send(0, "after-recovery")
+
+        def run(procs):
+            AsyncRuntime(
+                procs,
+                delay_model=FixedDelay(1.0),
+                crashes=[
+                    CrashAt(pid=1, time=5.0),
+                    RecoverAt(pid=1, time=6.0),
+                    CrashAt(pid=1, time=10.0),
+                    RecoverAt(pid=1, time=11.0),
+                ],
+                max_crashes=1,
+                quiesce_when_decided=False,
+            ).run()
+
+        bare = [Recorder(), Restarter()]
+        run(bare)
+        assert bare[0].got == [
+            (1, "before-crash"),
+            (1, "after-recovery"),
+            (1, "after-recovery"),
+        ]
+        wrapped = wrap_reliable([Recorder(), Restarter()])
+        run(wrapped)
+        assert wrapped[0].inner.got == bare[0].got
+
 
 # -- the golden equivalence: retransmit+dedup over fair loss ≡ reliable -----
 
@@ -431,3 +479,280 @@ class TestObservationalEquivalence:
         ).run()
         assert list(result.outputs) == [1, 1, 1, 1]
         assert result.crashed == {2}
+
+
+# -- the per-destination channel, kept as the differential reference --------
+
+_DATA = "rdx"
+_ACK = "rdx-ack"
+_RETRY = ("rdx-retry",)
+_INNER = "rdx-inner"
+
+
+class _PerDestinationLinkContext:
+    """The inner protocol's view of the world: a reliable channel.
+
+    Delegates everything observable to the real :class:`Context`;
+    intercepts ``send``/``broadcast`` (to tag + buffer for
+    retransmission) and ``set_timer`` (to namespace inner timer names
+    away from the channel's own retry timer).
+    """
+
+    def __init__(self, channel: "_PerDestinationChannel", ctx: Context) -> None:
+        self._channel = channel
+        self._ctx = ctx
+
+    @property
+    def pid(self) -> int:
+        return self._ctx.pid
+
+    @property
+    def n(self) -> int:
+        return self._ctx.n
+
+    @property
+    def decided(self) -> bool:
+        return self._ctx.decided
+
+    @property
+    def output(self) -> object:
+        return self._ctx.output
+
+    @property
+    def halted(self) -> bool:
+        return self._channel._inner_halted
+
+    @property
+    def time(self) -> float:
+        return self._ctx.time
+
+    @property
+    def stable(self):
+        return self._ctx.stable
+
+    def send(self, dst: int, payload: object) -> None:
+        self._channel._reliable_send(self._ctx, dst, payload)
+
+    def broadcast(self, payload: object, include_self: bool = True) -> None:
+        for dst in range(self.n):
+            if dst == self.pid and not include_self:
+                continue
+            self.send(dst, payload)
+
+    def set_timer(self, delay: float, name: object = None) -> None:
+        self._ctx.set_timer(delay, (_INNER, name))
+
+    def failure_detector(self) -> object:
+        return self._ctx.failure_detector()
+
+    def random(self):
+        return self._ctx.random()
+
+    def decide(self, value: object) -> None:
+        self._ctx.decide(value)
+
+    def halt(self) -> None:
+        # The inner protocol is done, but the channel layer stays up:
+        # it keeps acking (so peers' retransmissions quiesce) and keeps
+        # retransmitting its own backlog — exactly what a reliable link
+        # owes messages already accepted for transmission.
+        self._channel._inner_halted = True
+
+
+class _PerDestinationChannel(AsyncProcess):
+    """``ReliableChannel`` before one seq per send call, kept verbatim
+    (with its ``_LinkContext``, above) as the reference: every
+    destination numbers its own seqs, and a broadcast is one send call,
+    and one payload measure, per destination.  Its seqs restart at 0
+    after a recovery, so it is the reference for crash-stop runs only.
+
+    ``retry_every`` is the retransmission period (virtual time); it only
+    trades virtual time for traffic — correctness needs no tuning.
+    """
+
+    def __init__(self, inner: AsyncProcess, retry_every: float = 2.0) -> None:
+        if retry_every <= 0:
+            raise ConfigurationError("retry_every must be > 0")
+        self.inner = inner
+        self.retry_every = retry_every
+        #: (dst, seq) → payload, awaiting the destination's ack
+        self._unacked: Dict[Tuple[int, int], object] = {}
+        self._next_seq: Dict[int, int] = {}
+        #: (src, seq) pairs already delivered to the inner protocol
+        self._seen: Set[Tuple[int, int]] = set()
+        self._retry_armed = False
+        self._inner_halted = False
+
+    # -- sender side -------------------------------------------------------
+
+    def _reliable_send(self, ctx: Context, dst: int, payload: object) -> None:
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
+        self._unacked[(dst, seq)] = payload
+        ctx.send(dst, (_DATA, seq, payload))
+        if not self._retry_armed:
+            self._retry_armed = True
+            ctx.set_timer(self.retry_every, _RETRY)
+
+    # -- the AsyncProcess surface -----------------------------------------
+
+    def on_start(self, ctx: Context) -> None:
+        self.inner.on_start(_PerDestinationLinkContext(self, ctx))
+
+    def on_message(self, ctx: Context, src: int, payload: object) -> None:
+        tag = payload[0] if isinstance(payload, tuple) and payload else None
+        if tag == _DATA:
+            _, seq, inner_payload = payload
+            # Always ack — the previous ack may have been the lost copy.
+            ctx.send(src, (_ACK, seq))
+            if (src, seq) not in self._seen:
+                self._seen.add((src, seq))
+                if not self._inner_halted:
+                    self.inner.on_message(
+                        _PerDestinationLinkContext(self, ctx), src, inner_payload
+                    )
+        elif tag == _ACK:
+            self._unacked.pop((src, payload[1]), None)
+        # anything else is not ours; bare protocols never see it either
+
+    def on_timer(self, ctx: Context, name: object) -> None:
+        if name == _RETRY:
+            self._retry_armed = False
+            if self._unacked:
+                # Sorted for determinism: the analyzer's rule that no
+                # unordered iteration feeds sends applies here too.
+                for (dst, seq), payload in sorted(self._unacked.items()):
+                    ctx.send(dst, (_DATA, seq, payload))
+                self._retry_armed = True
+                ctx.set_timer(self.retry_every, _RETRY)
+        elif isinstance(name, tuple) and len(name) == 2 and name[0] == _INNER:
+            if not self._inner_halted:
+                self.inner.on_timer(_PerDestinationLinkContext(self, ctx), name[1])
+
+    def on_recover(self, ctx: Context) -> None:
+        # The channel's buffers were volatile too: a recovered process
+        # restarts its channel layer from scratch (sequence numbers and
+        # dedup state reset with the rest of memory).
+        self.inner.on_recover(_PerDestinationLinkContext(self, ctx))
+
+
+_channel_actions = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 4), _payloads),
+    st.tuples(st.just("bcast"), st.booleans(), _payloads),
+    st.tuples(st.just("timer"), st.sampled_from([0.5, 1.0, 2.5]), _payloads),
+)
+_channel_protocols = st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(_channel_actions, max_size=5), min_size=n, max_size=n)
+)
+
+_LOSSY_LINKS = {
+    "fair-loss": lambda: FairLossLink(0.3, max_consecutive_losses=2),
+    "duplicating": lambda: DuplicatingLink(0.4),
+    "reordering-loss": lambda: ReorderingLossLink(
+        0.2, 0.3, jitter=1.5, max_consecutive_losses=2
+    ),
+}
+
+
+def _run_channels(channel_cls, scripts, link, crash, seed, retry_every=2.0):
+    # Retransmission to the crashed pid never stops, so a run that does
+    # not settle ends at the event budget: the same event in both runs.
+    return AsyncRuntime(
+        [channel_cls(Scripted(script), retry_every) for script in scripts],
+        delay_model=UniformDelay(0.1, 2.0),
+        link_model=_LOSSY_LINKS[link](),
+        crashes=[crash],
+        max_crashes=1,
+        seed=seed,
+        max_events=3_000,
+    ).run()
+
+
+class TestMatchesPerDestinationChannel:
+    """One seq per send call, shared by the call's copies, against the
+    per-destination channel: equal on every crash-stop run whose retry
+    timers never fire at the very time of their fan-out's copies."""
+
+    @pytest.mark.parametrize("link", sorted(_LOSSY_LINKS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scripts=_channel_protocols,
+        data=st.data(),
+        drop=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_result_field_matches(self, link, scripts, data, drop, seed):
+        crash = CrashAt(
+            pid=data.draw(st.integers(0, len(scripts) - 1)),
+            time=data.draw(st.sampled_from([0.05, 0.5, 1.5, 4.0])),
+            drop_in_flight=drop,
+        )
+        new = _run_channels(ReliableChannel, scripts, link, crash, seed)
+        ref = _run_channels(_PerDestinationChannel, scripts, link, crash, seed)
+        assert new == ref
+        assert observation_hash(new) == observation_hash(ref)
+
+    def test_fixed_delay_tie_keeps_observations(self):
+        """The one order the channel changed.  With ``FixedDelay(d)`` and
+        ``retry_every == d`` a fan-out's retry timer fires at the very
+        time its copies arrive.  The per-destination channel armed it
+        after the first copy, so it fired before the rest; it now takes
+        its event id after every copy of the call and fires after them.
+        Later fates draw in another order, so message counts and times
+        may differ; what the protocol observes may not."""
+        results = []
+        for channel_cls in (ReliableChannel, _PerDestinationChannel):
+            procs, crashes, quiesce = build_abd()
+            results.append(
+                AsyncRuntime(
+                    [channel_cls(p, retry_every=1.0) for p in procs],
+                    delay_model=FixedDelay(1.0),
+                    link_model=FairLossLink(0.3, max_consecutive_losses=3),
+                    crashes=crashes,
+                    max_crashes=1,
+                    seed=11,
+                    quiesce_when_decided=quiesce,
+                ).run()
+            )
+        new, ref = results
+        assert observation_hash(new) == observation_hash(ref) == GOLDEN[("abd", 11)]
+        # Keeps the example a real tie: here the order did change.
+        assert new.messages_sent != ref.messages_sent
+
+    def test_one_payload_measure_per_inner_send_call(self, monkeypatch):
+        """A wrapped send call, broadcast or not, is one send call of the
+        runtime: its payload is measured once, and every copy is still
+        charged for it."""
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return payload_units(payload)
+
+        monkeypatch.setattr(
+            importlib.import_module("repro.amp.network"), "payload_units", counting
+        )
+
+        class Chatty(AsyncProcess):
+            def on_start(self, ctx):
+                ctx.broadcast(("hi", ctx.pid))
+                ctx.send((ctx.pid + 1) % ctx.n, ("one", ctx.pid))
+                ctx.broadcast(("all-but-me", ctx.pid), include_self=False)
+
+        def run(channel_cls):
+            del calls[:]
+            # Acks are back at t=2, before the first retry at t=5: no
+            # copy is retransmitted, so each data measure is a send call.
+            result = AsyncRuntime(
+                [channel_cls(Chatty(), retry_every=5.0) for _ in range(4)],
+                delay_model=FixedDelay(1.0),
+                quiesce_when_decided=False,
+            ).run()
+            return result, sum(1 for payload in calls if payload[0] == _DATA)
+
+        new, data_measures = run(ReliableChannel)
+        assert data_measures == 4 * 3
+        ref, ref_measures = run(_PerDestinationChannel)
+        assert ref_measures == 4 * (4 + 1 + 3)
+        assert new == ref
+        assert new.messages_sent == 2 * 4 * (4 + 1 + 3)  # data copies + acks
