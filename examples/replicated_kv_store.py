@@ -112,8 +112,9 @@ def main() -> None:
     for replica in replicas:
         replica.expected_count = total_submitted
 
+    channels = wrap_reliable(replicas, retry_every=1.5)
     result = run_processes(
-        wrap_reliable(replicas, retry_every=1.5),
+        channels,
         delay_model=UniformDelay(0.2, 1.5),
         link_model=FairLossLink(loss=0.2, max_consecutive_losses=4),
         crashes=[
@@ -129,6 +130,9 @@ def main() -> None:
 
     healthy = [pid for pid in range(n) if pid not in result.crashed]
     print(f"recovered: {sorted(result.recovered)}, up at the end: {healthy}")
+    # Recovery restores a channel from its snapshot, inner replica
+    # included, so the live replicas are the channels' inner objects.
+    replicas = [channel.inner for channel in channels]
 
     # Never-crashed replicas sequenced everything; the recovered one
     # holds a consistent prefix (the checker enforces exactly that).

@@ -30,8 +30,16 @@ Quickstart::
     verify_ring_coloring([result.outputs[i] for i in range(64)], 64)
 """
 
+from . import _exports
+
 __version__ = "1.0.0"
 
-from . import core
+#: Every subpackage is an attribute, imported on first read; the top
+#: level re-exports no names from them.
+_EXPORTS = {
+    "amp": (), "analyze": (), "core": (), "explore": (), "harness": (), "shm": (),
+    "sync": (), "trace": (), "workload": (),
+}
 
+__getattr__, __dir__ = _exports.lazy_exports(__name__, _EXPORTS)[:2]
 __all__ = ["core", "__version__"]

@@ -12,148 +12,45 @@
 * :mod:`repro.amp.adversary` — process adversaries, A-resilience.
 """
 
-from .abd import AbdNode, DurableAbdNode, FastReadAbdNode, OpRecord
-from .approximate import (
-    ApproximateAgreementProcess,
-    make_approximate_agreement,
-)
-from .adversary import (
-    AdversaryHarness,
-    AdversaryReport,
-    crash_scenarios,
-    quorum_system,
-    required_quorum_for_liveness,
-)
-from .broadcast import (
-    CausalOrder,
-    Delivery,
-    DurableReliableBroadcast,
-    FifoOrder,
-    ReliableBroadcast,
-    UniformReliableBroadcast,
-)
-from .failure_detectors import (
-    AdversarialOmega,
-    EventuallyPerfectFD,
-    EventuallyStrongFD,
-    FailureDetector,
-    HeartbeatOmega,
-    OmegaFD,
-    PerfectFD,
-    ScriptedFD,
-)
-from .links import ReliableChannel, observation_hash, wrap_reliable
-from .network import (
-    AmpRunResult,
-    AsyncProcess,
-    AsyncRuntime,
-    Context,
-    CrashAt,
-    DelayModel,
-    DuplicatingLink,
-    FairLossLink,
-    FixedDelay,
-    LinkModel,
-    PartialSynchronyDelay,
-    RecoverAt,
-    ReliableLink,
-    ReorderingLossLink,
-    TargetedDelay,
-    UniformDelay,
-    run_processes,
-)
-from .storage import StableStorage
-from .scd import (
-    DELETED,
-    Counter,
-    ScdBroadcast,
-    ScdKvStore,
-    ScdMessage,
-    ScdNode,
-    SnapshotObject,
-    check_kv_convergence,
-    check_scd_histories,
-    check_uniform_set_sequences,
-    make_scd_kv,
-)
-from .quorums import (
-    QuorumAbdNode,
-    is_live_quorum_system,
-    is_safe_quorum_system,
-    majority_family,
-)
-from .smr import (
-    ReplicatedStateMachine,
-    check_mutual_consistency,
-    make_replicated_machine,
-)
-from .tobroadcast import TOBroadcastNode, make_to_broadcast
+from .. import _exports
 
-__all__ = [
-    "AbdNode",
-    "DurableAbdNode",
-    "FastReadAbdNode",
-    "OpRecord",
-    "ApproximateAgreementProcess",
-    "make_approximate_agreement",
-    "AdversaryHarness",
-    "AdversaryReport",
-    "crash_scenarios",
-    "quorum_system",
-    "required_quorum_for_liveness",
-    "CausalOrder",
-    "Delivery",
-    "DurableReliableBroadcast",
-    "FifoOrder",
-    "ReliableBroadcast",
-    "UniformReliableBroadcast",
-    "AdversarialOmega",
-    "EventuallyPerfectFD",
-    "EventuallyStrongFD",
-    "FailureDetector",
-    "HeartbeatOmega",
-    "OmegaFD",
-    "PerfectFD",
-    "ScriptedFD",
-    "AmpRunResult",
-    "AsyncProcess",
-    "AsyncRuntime",
-    "Context",
-    "CrashAt",
-    "DelayModel",
-    "DuplicatingLink",
-    "FairLossLink",
-    "FixedDelay",
-    "LinkModel",
-    "PartialSynchronyDelay",
-    "RecoverAt",
-    "ReliableChannel",
-    "ReliableLink",
-    "ReorderingLossLink",
-    "StableStorage",
-    "TargetedDelay",
-    "UniformDelay",
-    "observation_hash",
-    "run_processes",
-    "wrap_reliable",
-    "QuorumAbdNode",
-    "is_live_quorum_system",
-    "is_safe_quorum_system",
-    "majority_family",
-    "DELETED",
-    "Counter",
-    "ScdBroadcast",
-    "ScdKvStore",
-    "ScdMessage",
-    "ScdNode",
-    "SnapshotObject",
-    "check_kv_convergence",
-    "check_scd_histories",
-    "check_uniform_set_sequences",
-    "make_scd_kv",
-    "ReplicatedStateMachine",
-    "check_mutual_consistency",
-    "make_replicated_machine",
-    "TOBroadcastNode",
-    "make_to_broadcast",
-]
+_EXPORTS = {
+    "abd": ("AbdNode", "DurableAbdNode", "FastReadAbdNode", "OpRecord"),
+    "adversary": (
+        "AdversaryHarness", "AdversaryReport", "crash_scenarios", "quorum_system",
+        "required_quorum_for_liveness",
+    ),
+    "approximate": ("ApproximateAgreementProcess", "make_approximate_agreement"),
+    "broadcast": (
+        "CausalOrder", "Delivery", "DurableReliableBroadcast", "FifoOrder",
+        "ReliableBroadcast", "UniformReliableBroadcast",
+    ),
+    "consensus": (),
+    "failure_detectors": (
+        "AdversarialOmega", "EventuallyPerfectFD", "EventuallyStrongFD",
+        "FailureDetector", "HeartbeatOmega", "OmegaFD", "PerfectFD", "ScriptedFD",
+    ),
+    "links": ("ReliableChannel", "observation_hash", "wrap_reliable"),
+    "network": (
+        "AmpRunResult", "AsyncProcess", "AsyncRuntime", "Context", "CrashAt",
+        "DelayModel", "DuplicatingLink", "FairLossLink", "FixedDelay", "LinkModel",
+        "PartialSynchronyDelay", "RecoverAt", "ReliableLink", "ReorderingLossLink",
+        "TargetedDelay", "UniformDelay", "run_processes",
+    ),
+    "quorums": (
+        "QuorumAbdNode", "is_live_quorum_system", "is_safe_quorum_system",
+        "majority_family",
+    ),
+    "scd": (
+        "DELETED", "Counter", "ScdBroadcast", "ScdKvStore", "ScdMessage", "ScdNode",
+        "SnapshotObject", "check_kv_convergence", "check_scd_histories",
+        "check_uniform_set_sequences", "make_scd_kv",
+    ),
+    "smr": (
+        "ReplicatedStateMachine", "check_mutual_consistency", "make_replicated_machine",
+    ),
+    "storage": ("StableStorage",),
+    "tobroadcast": ("TOBroadcastNode", "make_to_broadcast"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

@@ -12,48 +12,23 @@
 partial synchrony.)
 """
 
-from .benor import BOT, BenOrProcess, make_benor
-from .chandra_toueg import ChandraTouegProcess, make_chandra_toueg
-from .condition import (
-    Condition,
-    ConditionConsensusProcess,
-    c_frequency_condition,
-    c_max_condition,
-    make_condition_consensus,
-)
-from .flp import (
-    EagerMinConsensus,
-    MessageExplorationReport,
-    MessageProtocol,
-    MessageProtocolExplorer,
-    UnanimityConsensus,
-)
-from .omega import (
-    OmegaConsensusComponent,
-    OmegaConsensusProcess,
-    make_omega_consensus,
-)
-from .paxos import PaxosNode, make_paxos
+from ... import _exports
 
-__all__ = [
-    "BOT",
-    "BenOrProcess",
-    "make_benor",
-    "ChandraTouegProcess",
-    "make_chandra_toueg",
-    "Condition",
-    "ConditionConsensusProcess",
-    "c_frequency_condition",
-    "c_max_condition",
-    "make_condition_consensus",
-    "EagerMinConsensus",
-    "MessageExplorationReport",
-    "MessageProtocol",
-    "MessageProtocolExplorer",
-    "UnanimityConsensus",
-    "OmegaConsensusComponent",
-    "OmegaConsensusProcess",
-    "make_omega_consensus",
-    "PaxosNode",
-    "make_paxos",
-]
+_EXPORTS = {
+    "benor": ("BOT", "BenOrProcess", "make_benor"),
+    "chandra_toueg": ("ChandraTouegProcess", "make_chandra_toueg"),
+    "condition": (
+        "Condition", "ConditionConsensusProcess", "c_frequency_condition",
+        "c_max_condition", "make_condition_consensus",
+    ),
+    "flp": (
+        "EagerMinConsensus", "MessageExplorationReport", "MessageProtocol",
+        "MessageProtocolExplorer", "UnanimityConsensus",
+    ),
+    "omega": (
+        "OmegaConsensusComponent", "OmegaConsensusProcess", "make_omega_consensus",
+    ),
+    "paxos": ("PaxosNode", "make_paxos"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

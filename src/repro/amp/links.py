@@ -223,7 +223,13 @@ class ReliableChannel(AsyncProcess):
 def wrap_reliable(
     processes, retry_every: float = 2.0
 ) -> "list[ReliableChannel]":
-    """Stack every process on its own :class:`ReliableChannel`."""
+    """Stack every process on its own :class:`ReliableChannel`.
+
+    Keep the returned list: a :class:`~repro.amp.network.RecoverAt`
+    restores the channel from its snapshot, wrapped process included, so
+    a recovered process must be read through ``channel.inner``, not
+    through the object passed in.
+    """
     return [ReliableChannel(p, retry_every=retry_every) for p in processes]
 
 

@@ -20,42 +20,26 @@ invoking :func:`repro.analyze.cli.main` — the registry is a plain dict,
 no entry-point plumbing.
 """
 
-from .cli import analyze_paths, analyze_source, main
-from .findings import Finding
-from .freeze import (
-    FrozenDict,
-    FrozenList,
-    FrozenMutationError,
-    FrozenSetView,
-    deep_freeze,
-    is_frozen,
-)
-from .registry import Rule, all_rules, get_rule, known_rule_ids, rule
-from .suppress import Baseline, NoqaDirective, apply_noqa, scan_noqa
-from .walker import MODULE_KINDS, PROTOCOL_KINDS, ModuleInfo, classify_path
+from .. import _exports
 
-__all__ = [
-    "Baseline",
-    "Finding",
-    "FrozenDict",
-    "FrozenList",
-    "FrozenMutationError",
-    "FrozenSetView",
-    "MODULE_KINDS",
-    "ModuleInfo",
-    "NoqaDirective",
-    "PROTOCOL_KINDS",
-    "Rule",
-    "all_rules",
-    "analyze_paths",
-    "analyze_source",
-    "apply_noqa",
-    "classify_path",
-    "deep_freeze",
-    "get_rule",
-    "is_frozen",
-    "known_rule_ids",
-    "main",
-    "rule",
-    "scan_noqa",
-]
+_EXPORTS = {
+    "callgraph": (),
+    "cli": ("analyze_paths", "analyze_source", "main"),
+    "findings": ("Finding",),
+    "freeze": (
+        "FrozenDict", "FrozenList", "FrozenMutationError", "FrozenSetView",
+        "deep_freeze", "is_frozen",
+    ),
+    "registry": ("Rule", "all_rules", "get_rule", "known_rule_ids", "rule"),
+    "rules_alias": (),
+    "rules_det": (),
+    "rules_dur": (),
+    "rules_live": (),
+    "rules_mdl": (),
+    "rules_qrm": (),
+    "suppress": ("Baseline", "NoqaDirective", "apply_noqa", "scan_noqa"),
+    "taint": (),
+    "walker": ("MODULE_KINDS", "PROTOCOL_KINDS", "ModuleInfo", "classify_path"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

@@ -201,6 +201,11 @@ class ProjectIndex:
         """Split a dotted target into (module, remainder) by the longest
         module-name prefix present in the index."""
         parts = dotted.split(".")
+        # A package export named like its submodule shadows the submodule
+        # (``repro.trace.replay`` is the function, as at run time).
+        package = self.modules.get(".".join(parts[:-1]))
+        if package is not None and package.import_map.get(parts[-1], dotted) != dotted:
+            return package, parts[-1]
         for cut in range(len(parts), 0, -1):
             prefix = ".".join(parts[:cut])
             if prefix in self.modules:

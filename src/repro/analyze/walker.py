@@ -109,6 +109,8 @@ class ModuleInfo:
         self.source = source
         self.kind = kind if kind is not None else classify_path(path)
         self.module_name = module_name_from_path(path)
+        #: An ``__init__.py``: relative imports start at the module itself.
+        self.is_package = path.replace("\\", "/").split("/")[-1] == "__init__.py"
         self.tree = ast.parse(source, filename=path)
         self._parent: Dict[ast.AST, ast.AST] = {}
         self._qual: Dict[ast.AST, str] = {}
@@ -126,6 +128,9 @@ class ModuleInfo:
         #: and relative — relative levels are resolved against this
         #: module's own package).  ``from .abd import AbdNode`` inside
         #: ``repro.amp.quorums`` => ``{"AbdNode": "repro.amp.abd.AbdNode"}``.
+        #: A package's lazy-export table (:mod:`repro._exports`) counts as
+        #: imports: ``"abd": ("AbdNode",)`` in ``repro/amp/__init__.py``
+        #: => ``{"AbdNode": "repro.amp.abd.AbdNode"}``.
         self.import_map: Dict[str, str] = {}
         #: Set by :class:`repro.analyze.callgraph.ProjectIndex` when the
         #: module is analyzed with project context; ``None`` for
@@ -180,12 +185,14 @@ class ModuleInfo:
     def _resolve_relative(self, level: int, module: Optional[str]) -> Optional[str]:
         """Absolute dotted module for a relative import in this module.
 
-        ``level=1`` is this module's package, each extra level one
-        package up (``from ..core import x`` in ``repro.amp.abd`` →
-        ``repro.core``).  Returns ``None`` when the relative walk
-        escapes the known package path.
+        ``level=1`` is this module's package (the module itself for an
+        ``__init__.py``), each extra level one package up (``from ..core
+        import x`` in ``repro.amp.abd`` → ``repro.core``).  Returns
+        ``None`` when the relative walk escapes the known package path.
         """
-        package = self.module_name.split(".")[:-1]
+        package = self.module_name.split(".")
+        if not self.is_package:
+            package.pop()
         if level - 1 > len(package):
             return None
         base = package[: len(package) - (level - 1)]
@@ -222,6 +229,24 @@ class ModuleInfo:
                 self.import_map[bound] = f"{node.module}.{alias.name}"
                 if root in NONDET_MODULES:
                     self.nondet_aliases[bound] = f"{node.module}.{alias.name}"
+        if self.is_package:
+            for sub, names in self._export_table().items():
+                for name in names:
+                    self.import_map[name] = f"{self.module_name}.{sub}.{name}"
+
+    def _export_table(self) -> Dict[str, Tuple[str, ...]]:
+        """This package's literal ``_EXPORTS`` table, or ``{}``."""
+        for node in self.tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and [dotted_name(t) for t in node.targets] == ["_EXPORTS"]
+            ):
+                try:
+                    table = ast.literal_eval(node.value)
+                except ValueError:
+                    return {}
+                return table if isinstance(table, dict) else {}
+        return {}
 
     # -- set-ness inference ------------------------------------------------
 

@@ -6,102 +6,34 @@ Herlihy–Wing linearizability checker that underpins object correctness,
 and the cores/survivor-sets duality of §5.4.
 """
 
-from .exceptions import (
-    ConfigurationError,
-    LivenessViolation,
-    ModelViolation,
-    ProtocolAbort,
-    ReproError,
-    SafetyViolation,
-    SimulationLimitExceeded,
-)
-from .history import History, Operation, sequential_history
-from .linearizability import (
-    LinearizationResult,
-    check_history,
-    check_object,
-    is_linearizable,
-)
-from .model import (
-    MessagePassingModel,
-    ProcessAdversarySpec,
-    SharedMemoryModel,
-    SynchronousModel,
-    amp,
-    asm,
-    smp,
-)
-from .seqspec import (
-    SequentialSpec,
-    compare_and_swap_spec,
-    counter_spec,
-    fetch_and_add_spec,
-    queue_spec,
-    register_spec,
-    set_spec,
-    spec_by_name,
-    stack_spec,
-    sticky_bit_spec,
-    swap_spec,
-    test_and_set_spec,
-)
-from .volume import payload_units
-from .task import (
-    NO_OUTPUT,
-    RelationTask,
-    RunOutcome,
-    Task,
-    TaskCheckResult,
-    binary_consensus_task,
-    consensus_task,
-    k_set_agreement_task,
-    leader_election_task,
-    vector_learning_task,
-)
+from .. import _exports
 
-__all__ = [
-    "ConfigurationError",
-    "LivenessViolation",
-    "ModelViolation",
-    "ProtocolAbort",
-    "ReproError",
-    "SafetyViolation",
-    "SimulationLimitExceeded",
-    "History",
-    "Operation",
-    "sequential_history",
-    "LinearizationResult",
-    "check_history",
-    "check_object",
-    "is_linearizable",
-    "MessagePassingModel",
-    "ProcessAdversarySpec",
-    "SharedMemoryModel",
-    "SynchronousModel",
-    "amp",
-    "asm",
-    "smp",
-    "SequentialSpec",
-    "compare_and_swap_spec",
-    "counter_spec",
-    "fetch_and_add_spec",
-    "queue_spec",
-    "register_spec",
-    "set_spec",
-    "spec_by_name",
-    "stack_spec",
-    "sticky_bit_spec",
-    "swap_spec",
-    "test_and_set_spec",
-    "payload_units",
-    "NO_OUTPUT",
-    "RelationTask",
-    "RunOutcome",
-    "Task",
-    "TaskCheckResult",
-    "binary_consensus_task",
-    "consensus_task",
-    "k_set_agreement_task",
-    "leader_election_task",
-    "vector_learning_task",
-]
+_EXPORTS = {
+    "cores": (),
+    "exceptions": (
+        "ConfigurationError", "LivenessViolation", "ModelViolation", "ProtocolAbort",
+        "ReproError", "SafetyViolation", "SimulationLimitExceeded",
+    ),
+    "hierarchy": (),
+    "history": ("History", "Operation", "sequential_history"),
+    "linearizability": (
+        "LinearizationResult", "check_history", "check_object", "is_linearizable",
+    ),
+    "model": (
+        "MessagePassingModel", "ProcessAdversarySpec", "SharedMemoryModel",
+        "SynchronousModel", "amp", "asm", "smp",
+    ),
+    "seqspec": (
+        "SequentialSpec", "compare_and_swap_spec", "counter_spec", "fetch_and_add_spec",
+        "queue_spec", "register_spec", "set_spec", "spec_by_name", "stack_spec",
+        "sticky_bit_spec", "swap_spec", "test_and_set_spec",
+    ),
+    "task": (
+        "NO_OUTPUT", "RelationTask", "RunOutcome", "Task", "TaskCheckResult",
+        "binary_consensus_task", "consensus_task", "k_set_agreement_task",
+        "leader_election_task", "vector_learning_task",
+    ),
+    "volume": ("payload_units",),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

@@ -21,108 +21,36 @@ byte-identical re-execution through :mod:`repro.trace.replay`.
     True
 """
 
-from .counterexample import Counterexample
-from .engine import (
-    Explorer,
-    ExploreResult,
-    ExploreStats,
-    Violation,
-    VisitedStore,
-    child_sleep_set,
-    explore,
-    state_graph,
-)
-from .model import ExplorationModel, Interner
-from .sharded import (
-    ShardedExplorer,
-    ShardedExploreResult,
-    schedule_key,
-    shard_of,
-)
-from .spill import SpillDict
-from .properties import (
-    Eventually,
-    Invariant,
-    Property,
-    agreement,
-    termination,
-    validity,
-)
-from .strategies import BFS, DFS, RandomWalk, Strategy
-from .shm_model import ShmMachineModel
-from .amp_model import AmpModel
-from .sync_model import (
-    ScriptedAdversary,
-    SyncAdversaryModel,
-    deliver_all_choices,
-    drop_one_choices,
-)
-from .protocols import (
-    UNSET,
-    AdoptCommitMachine,
-    BrokenAdoptCommitMachine,
-    FloodMinProcess,
-    QuorumAcceptor,
-    QuorumProposer,
-    adopt_commit_coherence,
-    adopt_commit_convergence,
-    adopt_commit_validity,
-    make_flood_min,
-    make_quorum_commit,
-    make_scd_nodes,
-    quorum_commit_agreement,
-    scd_coherence,
-    scd_termination,
-    scd_uniform_sets,
-)
+from .. import _exports
 
-__all__ = [
-    "BFS",
-    "DFS",
-    "RandomWalk",
-    "Strategy",
-    "ExplorationModel",
-    "Interner",
-    "Explorer",
-    "ExploreResult",
-    "ExploreStats",
-    "Violation",
-    "VisitedStore",
-    "child_sleep_set",
-    "explore",
-    "state_graph",
-    "ShardedExplorer",
-    "ShardedExploreResult",
-    "SpillDict",
-    "schedule_key",
-    "shard_of",
-    "Property",
-    "Invariant",
-    "Eventually",
-    "agreement",
-    "validity",
-    "termination",
-    "Counterexample",
-    "ShmMachineModel",
-    "AmpModel",
-    "SyncAdversaryModel",
-    "ScriptedAdversary",
-    "deliver_all_choices",
-    "drop_one_choices",
-    "UNSET",
-    "AdoptCommitMachine",
-    "BrokenAdoptCommitMachine",
-    "FloodMinProcess",
-    "QuorumAcceptor",
-    "QuorumProposer",
-    "adopt_commit_coherence",
-    "adopt_commit_convergence",
-    "adopt_commit_validity",
-    "make_flood_min",
-    "make_quorum_commit",
-    "make_scd_nodes",
-    "quorum_commit_agreement",
-    "scd_coherence",
-    "scd_termination",
-    "scd_uniform_sets",
-]
+_EXPORTS = {
+    "amp_model": ("AmpModel",),
+    "counterexample": ("Counterexample",),
+    "engine": (
+        "Explorer", "ExploreResult", "ExploreStats", "Violation", "VisitedStore",
+        "child_sleep_set", "explore", "state_graph",
+    ),
+    "model": ("ExplorationModel", "Interner"),
+    "properties": (
+        "Eventually", "Invariant", "Property", "agreement", "termination", "validity",
+    ),
+    "protocols": (
+        "UNSET", "AdoptCommitMachine", "BrokenAdoptCommitMachine", "FloodMinProcess",
+        "QuorumAcceptor", "QuorumProposer", "adopt_commit_coherence",
+        "adopt_commit_convergence", "adopt_commit_validity", "make_flood_min",
+        "make_quorum_commit", "make_scd_nodes", "quorum_commit_agreement",
+        "scd_coherence", "scd_termination", "scd_uniform_sets",
+    ),
+    "sharded": (
+        "ShardedExplorer", "ShardedExploreResult", "schedule_key", "shard_of",
+    ),
+    "shm_model": ("ShmMachineModel",),
+    "spill": ("SpillDict",),
+    "strategies": ("BFS", "DFS", "RandomWalk", "Strategy"),
+    "sync_model": (
+        "ScriptedAdversary", "SyncAdversaryModel", "deliver_all_choices",
+        "drop_one_choices",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

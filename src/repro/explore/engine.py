@@ -14,7 +14,8 @@ shard that owns its fingerprint.  Two reductions keep the search
 tractable:
 
 * **visited-set dedup** — configurations are keyed by their canonical
-  fingerprint (interned, hash-consing style); a revisited state is not
+  fingerprint, which each model adapter hash-conses with its own
+  :class:`~repro.explore.model.Interner`; a revisited state is not
   re-expanded.  This alone collapses the naive schedule *tree* (every
   interleaving spelled out) to the configuration *graph*.
 * **sleep sets** (Godefroid) — when two enabled choices commute
@@ -71,7 +72,7 @@ from typing import (
 
 from ..core.exceptions import ConfigurationError, SimulationLimitExceeded
 from .counterexample import Counterexample
-from .model import Choice, Config, ExplorationModel, Interner
+from .model import Choice, Config, ExplorationModel
 from .properties import Property
 from .strategies import BFS, DFS, RandomWalk, Strategy
 
@@ -299,7 +300,6 @@ class SearchCore:
             self.backing = SpillDict(spill_path, max_entries=spill_entries)
         #: fingerprint → the sleep set this state was (last) expanded with.
         self.visited = VisitedStore(self.backing)
-        self.intern = Interner()
         self.stats = ExploreStats()
         self.violations: List[RawViolation] = []
         self.cut = False
@@ -478,7 +478,6 @@ class Explorer:
             ),
             spill_entries=self.spill_entries,
         )
-        intern = core.intern
         frontier: deque = deque([(model.initial(), (), _EMPTY)])
         pop = frontier.pop if isinstance(strategy, DFS) else frontier.popleft
         push = frontier.append
@@ -486,7 +485,7 @@ class Explorer:
         try:
             while frontier:
                 config, schedule, sleep = pop()
-                fingerprint = intern(model.fingerprint(config))
+                fingerprint = model.fingerprint(config)
                 if not core.expand(fingerprint, config, schedule, sleep, push):
                     complete = False
                     break
@@ -513,7 +512,7 @@ class Explorer:
             for depth in range(strategy.max_depth + 1):
                 if depth > stats.max_depth_seen:
                     stats.max_depth_seen = depth
-                fingerprint = core.intern(model.fingerprint(config))
+                fingerprint = model.fingerprint(config)
                 if visited.visit(fingerprint, _EMPTY)[0]:
                     if len(visited) > strategy.max_states or core.check(
                         config, schedule

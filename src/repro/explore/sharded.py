@@ -193,7 +193,6 @@ class _Shard:
         # from it — is independent of how the space was partitioned.
         groups: Dict[Any, List[Any]] = {}
         for fp, config, schedule, sleep in self.local_next + incoming:
-            fp = core.intern(fp)
             group = groups.get(fp)
             if group is None:
                 groups[fp] = [config, schedule, sleep]

@@ -6,30 +6,16 @@ benchmark shares: a seed sweep over a picklable factory, parallel when
 processes are available, serial otherwise, deterministic either way.
 """
 
-from .parallel import (
-    MultiReportStats,
-    MultiRunStats,
-    RunList,
-    aggregate_amp,
-    aggregate_shm,
-    run_many,
-)
-from .stats import (
-    DEFAULT_PERCENTILES,
-    LatencyStats,
-    decision_latency_stats,
-    percentiles,
-)
+from .. import _exports
 
-__all__ = [
-    "DEFAULT_PERCENTILES",
-    "LatencyStats",
-    "MultiReportStats",
-    "MultiRunStats",
-    "RunList",
-    "aggregate_amp",
-    "aggregate_shm",
-    "decision_latency_stats",
-    "percentiles",
-    "run_many",
-]
+_EXPORTS = {
+    "parallel": (
+        "MultiReportStats", "MultiRunStats", "RunList", "aggregate_amp",
+        "aggregate_shm", "run_many",
+    ),
+    "stats": (
+        "DEFAULT_PERCENTILES", "LatencyStats", "decision_latency_stats", "percentiles",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

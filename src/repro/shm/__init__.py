@@ -15,181 +15,59 @@
 * :mod:`repro.shm.approximate` — wait-free approximate agreement.
 """
 
-from .abortable import ABORTED, AbortableObject
-from .adoptcommit import ADOPT, COMMIT, AdoptCommit
-from .approximate import ApproximateAgreement, check_epsilon_agreement, rounds_needed
-from .bivalence import ConfigurationExplorer, ExplorationReport
-from .consensus_number import (
-    EMPTY,
-    CautiousRegisterConsensus,
-    CompareAndSwapConsensus,
-    EagerRegisterConsensus,
-    LLSCConsensus,
-    StickyConsensus,
-    TwoProcessRaceConsensus,
-    measured_hierarchy,
-    protocol_for,
-    verify_protocol_exhaustively,
-)
-from .k_universal import KLSimultaneousConsensus, KUniversalConstruction
-from .kset import (
-    ObstructionFreeConsensus,
-    ObstructionFreeKSetAgreement,
-    brs_register_bound,
-    verify_k_set_outputs,
-)
-from .objects import (
-    ConsensusObject,
-    KSimultaneousConsensusObject,
-    LLSCObject,
-    new_compare_and_swap,
-    new_counter,
-    new_fetch_and_add,
-    new_queue,
-    new_register,
-    new_stack,
-    new_sticky,
-    new_swap,
-    new_test_and_set,
-    propose,
-)
-from .register_constructions import (
-    AtomicFromRegular,
-    MRSWAtomicFromSWSR,
-    RegularFromSafe,
-    SafeBitRegister,
-    check_regular,
-)
-from .iis import (
-    ImpossibilityCertificate,
-    ProtocolComplex,
-    consensus_impossibility_certificate,
-    exhaustive_decision_map_check,
-    ordered_set_partitions,
-)
-from .immediate_snapshot import ImmediateSnapshot
-from .renaming import Renaming
-from .progress import (
-    ProgressVerdict,
-    check_non_blocking,
-    check_obstruction_free,
-    check_wait_free,
-)
-from .runtime import (
-    Invocation,
-    Program,
-    RunReport,
-    Runtime,
-    Scheduler,
-    SharedObject,
-    collect,
-    invoke,
-    make_registers,
-    read,
-    run_protocol,
-    write,
-)
-from .schedulers import (
-    CrashAfterScheduler,
-    ListScheduler,
-    ObstructionScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    SoloScheduler,
-    StarveScheduler,
-    exhaustive_schedules,
-)
-from .snapshot import AtomicSnapshot, snapshot_spec
-from .statemachine import (
-    NOT_DECIDED,
-    ProtocolStateMachine,
-    as_program,
-    build_objects,
-)
-from .universal import UniversalObject, client_program
+from .. import _exports
 
-__all__ = [
-    "ABORTED",
-    "AbortableObject",
-    "ADOPT",
-    "COMMIT",
-    "AdoptCommit",
-    "ApproximateAgreement",
-    "check_epsilon_agreement",
-    "rounds_needed",
-    "ConfigurationExplorer",
-    "ExplorationReport",
-    "EMPTY",
-    "CautiousRegisterConsensus",
-    "CompareAndSwapConsensus",
-    "EagerRegisterConsensus",
-    "LLSCConsensus",
-    "StickyConsensus",
-    "TwoProcessRaceConsensus",
-    "measured_hierarchy",
-    "protocol_for",
-    "verify_protocol_exhaustively",
-    "KLSimultaneousConsensus",
-    "KUniversalConstruction",
-    "ObstructionFreeConsensus",
-    "ObstructionFreeKSetAgreement",
-    "brs_register_bound",
-    "verify_k_set_outputs",
-    "ConsensusObject",
-    "KSimultaneousConsensusObject",
-    "LLSCObject",
-    "new_compare_and_swap",
-    "new_counter",
-    "new_fetch_and_add",
-    "new_queue",
-    "new_register",
-    "new_stack",
-    "new_sticky",
-    "new_swap",
-    "new_test_and_set",
-    "propose",
-    "AtomicFromRegular",
-    "MRSWAtomicFromSWSR",
-    "RegularFromSafe",
-    "SafeBitRegister",
-    "check_regular",
-    "ImpossibilityCertificate",
-    "ProtocolComplex",
-    "consensus_impossibility_certificate",
-    "exhaustive_decision_map_check",
-    "ordered_set_partitions",
-    "ImmediateSnapshot",
-    "Renaming",
-    "ProgressVerdict",
-    "check_non_blocking",
-    "check_obstruction_free",
-    "check_wait_free",
-    "Invocation",
-    "Program",
-    "RunReport",
-    "Runtime",
-    "Scheduler",
-    "SharedObject",
-    "collect",
-    "invoke",
-    "make_registers",
-    "read",
-    "run_protocol",
-    "write",
-    "CrashAfterScheduler",
-    "ListScheduler",
-    "ObstructionScheduler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "SoloScheduler",
-    "StarveScheduler",
-    "exhaustive_schedules",
-    "AtomicSnapshot",
-    "snapshot_spec",
-    "NOT_DECIDED",
-    "ProtocolStateMachine",
-    "as_program",
-    "build_objects",
-    "UniversalObject",
-    "client_program",
-]
+_EXPORTS = {
+    "abortable": ("ABORTED", "AbortableObject"),
+    "adoptcommit": ("ADOPT", "COMMIT", "AdoptCommit"),
+    "approximate": ("ApproximateAgreement", "check_epsilon_agreement", "rounds_needed"),
+    "bivalence": ("ConfigurationExplorer", "ExplorationReport"),
+    "consensus_number": (
+        "EMPTY", "CautiousRegisterConsensus", "CompareAndSwapConsensus",
+        "EagerRegisterConsensus", "LLSCConsensus", "StickyConsensus",
+        "TwoProcessRaceConsensus", "measured_hierarchy", "protocol_for",
+        "verify_protocol_exhaustively",
+    ),
+    "iis": (
+        "ImpossibilityCertificate", "ProtocolComplex",
+        "consensus_impossibility_certificate", "exhaustive_decision_map_check",
+        "ordered_set_partitions",
+    ),
+    "immediate_snapshot": ("ImmediateSnapshot",),
+    "k_universal": ("KLSimultaneousConsensus", "KUniversalConstruction"),
+    "kset": (
+        "ObstructionFreeConsensus", "ObstructionFreeKSetAgreement",
+        "brs_register_bound", "verify_k_set_outputs",
+    ),
+    "objects": (
+        "ConsensusObject", "KSimultaneousConsensusObject", "LLSCObject",
+        "new_compare_and_swap", "new_counter", "new_fetch_and_add", "new_queue",
+        "new_register", "new_stack", "new_sticky", "new_swap", "new_test_and_set",
+        "propose",
+    ),
+    "progress": (
+        "ProgressVerdict", "check_non_blocking", "check_obstruction_free",
+        "check_wait_free",
+    ),
+    "register_constructions": (
+        "AtomicFromRegular", "MRSWAtomicFromSWSR", "RegularFromSafe", "SafeBitRegister",
+        "check_regular",
+    ),
+    "renaming": ("Renaming",),
+    "runtime": (
+        "Invocation", "Program", "RunReport", "Runtime", "Scheduler", "SharedObject",
+        "collect", "invoke", "make_registers", "read", "run_protocol", "write",
+    ),
+    "schedulers": (
+        "CrashAfterScheduler", "ListScheduler", "ObstructionScheduler",
+        "RandomScheduler", "RoundRobinScheduler", "SoloScheduler", "StarveScheduler",
+        "exhaustive_schedules",
+    ),
+    "snapshot": ("AtomicSnapshot", "snapshot_spec"),
+    "statemachine": (
+        "NOT_DECIDED", "ProtocolStateMachine", "as_program", "build_objects",
+    ),
+    "universal": ("UniversalObject", "client_program"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

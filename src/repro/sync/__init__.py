@@ -11,108 +11,37 @@ adversaries (paper §3).
 * :mod:`repro.sync.algorithms` — Cole–Vishkin, flooding, MIS, FloodSet.
 """
 
-from .adversary import (
-    AdaptiveAdversary,
-    BoundedDropAdversary,
-    DropAllAdversary,
-    MessageAdversary,
-    NoAdversary,
-    TourAdversary,
-    TreeAdversary,
-)
-from .dissemination import (
-    DisseminationReport,
-    run_dissemination,
-    verify_tree_theorem,
-)
-from .equivalence import (
-    SharedMemoryInTour,
-    TourSimulationResult,
-    refute_tour_consensus,
-    run_shared_memory_in_tour,
-    run_tour_in_shared_memory,
-    starvation_orientation,
-)
-from .partition import (
-    CliquePartitionAdversary,
-    MinFloodKSet,
-    refute_clique_consensus,
-    run_clique_kset,
-)
-from .kernel import (
-    Context,
-    CrashEvent,
-    SyncAlgorithm,
-    SyncRunResult,
-    SynchronousRunner,
-    run_synchronous,
-)
-from .arraykernel import (
-    ColumnarAlgorithm,
-    ColumnarRunner,
-    run_columnar,
-)
-from .flatgraph import (
-    FlatGraph,
-    flat_from_topology,
-    flat_random_regular,
-    flat_ring,
-    flat_torus,
-)
-from .topology import (
-    Topology,
-    balanced_tree,
-    complete,
-    grid,
-    path,
-    random_connected,
-    random_spanning_tree,
-    ring,
-    star,
-)
+from .. import _exports
 
-__all__ = [
-    "AdaptiveAdversary",
-    "BoundedDropAdversary",
-    "DropAllAdversary",
-    "MessageAdversary",
-    "NoAdversary",
-    "TourAdversary",
-    "TreeAdversary",
-    "DisseminationReport",
-    "run_dissemination",
-    "verify_tree_theorem",
-    "SharedMemoryInTour",
-    "TourSimulationResult",
-    "refute_tour_consensus",
-    "run_shared_memory_in_tour",
-    "run_tour_in_shared_memory",
-    "starvation_orientation",
-    "CliquePartitionAdversary",
-    "MinFloodKSet",
-    "refute_clique_consensus",
-    "run_clique_kset",
-    "Context",
-    "CrashEvent",
-    "SyncAlgorithm",
-    "SyncRunResult",
-    "SynchronousRunner",
-    "run_synchronous",
-    "ColumnarAlgorithm",
-    "ColumnarRunner",
-    "run_columnar",
-    "FlatGraph",
-    "flat_from_topology",
-    "flat_random_regular",
-    "flat_ring",
-    "flat_torus",
-    "Topology",
-    "balanced_tree",
-    "complete",
-    "grid",
-    "path",
-    "random_connected",
-    "random_spanning_tree",
-    "ring",
-    "star",
-]
+_EXPORTS = {
+    "adversary": (
+        "AdaptiveAdversary", "BoundedDropAdversary", "DropAllAdversary",
+        "MessageAdversary", "NoAdversary", "TourAdversary", "TreeAdversary",
+    ),
+    "algorithms": (),
+    "arraykernel": ("ColumnarAlgorithm", "ColumnarRunner", "run_columnar"),
+    "dissemination": ("DisseminationReport", "run_dissemination", "verify_tree_theorem"),
+    "equivalence": (
+        "SharedMemoryInTour", "TourSimulationResult", "refute_tour_consensus",
+        "run_shared_memory_in_tour", "run_tour_in_shared_memory",
+        "starvation_orientation",
+    ),
+    "flatgraph": (
+        "FlatGraph", "flat_from_topology", "flat_random_regular", "flat_ring",
+        "flat_torus",
+    ),
+    "kernel": (
+        "Context", "CrashEvent", "SyncAlgorithm", "SyncRunResult", "SynchronousRunner",
+        "run_synchronous",
+    ),
+    "partition": (
+        "CliquePartitionAdversary", "MinFloodKSet", "refute_clique_consensus",
+        "run_clique_kset",
+    ),
+    "topology": (
+        "Topology", "balanced_tree", "complete", "grid", "path", "random_connected",
+        "random_spanning_tree", "ring", "star",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

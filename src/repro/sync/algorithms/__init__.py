@@ -1,67 +1,28 @@
 """Synchronous algorithms: flooding, coloring, MIS, locality, consensus."""
 
-from .aggregate import (
-    AggregateFlooding,
-    ColumnarAggregateFlooding,
-    make_aggregate_flooders,
-)
-from .coloring import (
-    ColeVishkinColoring,
-    cv_iterations,
-    expected_rounds,
-    log_star,
-    make_ring_colorers,
-    verify_proper_coloring,
-    verify_ring_coloring,
-)
-from .consensus import FloodSetConsensus, make_floodset
-from .early_stopping import EarlyStoppingConsensus, make_early_stopping
-from .flooding import (
-    MODES,
-    DeltaMessage,
-    FloodingAlgorithm,
-    identity_vector,
-    make_flooders,
-)
-from .leader import FloodMaxLeader, make_flood_max
-from .luby import LubyMIS, make_luby
-from .local import (
-    LocalityVerdict,
-    classify_algorithm,
-    classify_run,
-    ring_coloring_lower_bound,
-)
-from .mis import ColorToMIS, GreedyColorByID, verify_mis
+from ... import _exports
 
-__all__ = [
-    "AggregateFlooding",
-    "ColumnarAggregateFlooding",
-    "make_aggregate_flooders",
-    "ColeVishkinColoring",
-    "cv_iterations",
-    "expected_rounds",
-    "log_star",
-    "make_ring_colorers",
-    "verify_proper_coloring",
-    "verify_ring_coloring",
-    "FloodSetConsensus",
-    "make_floodset",
-    "EarlyStoppingConsensus",
-    "make_early_stopping",
-    "FloodMaxLeader",
-    "make_flood_max",
-    "LubyMIS",
-    "make_luby",
-    "MODES",
-    "DeltaMessage",
-    "FloodingAlgorithm",
-    "identity_vector",
-    "make_flooders",
-    "LocalityVerdict",
-    "classify_algorithm",
-    "classify_run",
-    "ring_coloring_lower_bound",
-    "ColorToMIS",
-    "GreedyColorByID",
-    "verify_mis",
-]
+_EXPORTS = {
+    "aggregate": (
+        "AggregateFlooding", "ColumnarAggregateFlooding", "make_aggregate_flooders",
+    ),
+    "coloring": (
+        "ColeVishkinColoring", "cv_iterations", "expected_rounds", "log_star",
+        "make_ring_colorers", "verify_proper_coloring", "verify_ring_coloring",
+    ),
+    "consensus": ("FloodSetConsensus", "make_floodset"),
+    "early_stopping": ("EarlyStoppingConsensus", "make_early_stopping"),
+    "flooding": (
+        "MODES", "DeltaMessage", "FloodingAlgorithm", "identity_vector",
+        "make_flooders",
+    ),
+    "leader": ("FloodMaxLeader", "make_flood_max"),
+    "local": (
+        "LocalityVerdict", "classify_algorithm", "classify_run",
+        "ring_coloring_lower_bound",
+    ),
+    "luby": ("LubyMIS", "make_luby"),
+    "mis": ("ColorToMIS", "GreedyColorByID", "verify_mis"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

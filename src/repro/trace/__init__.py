@@ -22,96 +22,26 @@ Capture → replay in five lines::
     again = replay(make_benor(5, 2, inputs), sink.events, seed=7)
 """
 
-from .events import (
-    CRASH,
-    DECIDE,
-    DELIVER,
-    DROP,
-    KINDS,
-    READ,
-    RECOVER,
-    ROUND_BEGIN,
-    ROUND_END,
-    SEND,
-    SNAPSHOT,
-    STEP,
-    SYSTEM,
-    TIMER,
-    WRITE,
-    TraceEvent,
-    crashed_pids,
-    decisions,
-    event_from_json,
-    event_to_json,
-    events_for,
-    recovered_pids,
-    trace_hash,
-)
-from .sink import JsonlSink, MemorySink, TraceSink, dump_trace, load_trace
-from .aggregate import AggregateSink
-from .analysis import (
-    HappenedBeforeDAG,
-    causal_chain,
-    check_agreement,
-    check_termination,
-    check_validity,
-    concurrent,
-    critical_path,
-    happened_before,
-    vc_leq,
-)
-from .replay import (
-    ReplayDivergence,
-    ReplayRuntime,
-    ShmReplayScheduler,
-    replay,
-    schedule_of,
-)
-from .diagram import render_space_time
+from .. import _exports
 
-__all__ = [
-    "CRASH",
-    "DECIDE",
-    "DELIVER",
-    "DROP",
-    "KINDS",
-    "READ",
-    "RECOVER",
-    "ROUND_BEGIN",
-    "ROUND_END",
-    "SEND",
-    "SNAPSHOT",
-    "STEP",
-    "SYSTEM",
-    "TIMER",
-    "WRITE",
-    "TraceEvent",
-    "crashed_pids",
-    "decisions",
-    "event_from_json",
-    "event_to_json",
-    "events_for",
-    "recovered_pids",
-    "trace_hash",
-    "AggregateSink",
-    "JsonlSink",
-    "MemorySink",
-    "TraceSink",
-    "dump_trace",
-    "load_trace",
-    "HappenedBeforeDAG",
-    "causal_chain",
-    "check_agreement",
-    "check_termination",
-    "check_validity",
-    "concurrent",
-    "critical_path",
-    "happened_before",
-    "vc_leq",
-    "ReplayDivergence",
-    "ReplayRuntime",
-    "ShmReplayScheduler",
-    "replay",
-    "schedule_of",
-    "render_space_time",
-]
+_EXPORTS = {
+    "aggregate": ("AggregateSink",),
+    "analysis": (
+        "HappenedBeforeDAG", "causal_chain", "check_agreement", "check_termination",
+        "check_validity", "concurrent", "critical_path", "happened_before", "vc_leq",
+    ),
+    "diagram": ("render_space_time",),
+    "events": (
+        "CRASH", "DECIDE", "DELIVER", "DROP", "KINDS", "READ", "RECOVER", "ROUND_BEGIN",
+        "ROUND_END", "SEND", "SNAPSHOT", "STEP", "SYSTEM", "TIMER", "WRITE",
+        "TraceEvent", "crashed_pids", "decisions", "event_from_json", "event_to_json",
+        "events_for", "recovered_pids", "trace_hash",
+    ),
+    "replay": (
+        "ReplayDivergence", "ReplayRuntime", "ShmReplayScheduler", "replay",
+        "schedule_of",
+    ),
+    "sink": ("JsonlSink", "MemorySink", "TraceSink", "dump_trace", "load_trace"),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

@@ -23,32 +23,14 @@ carries a sha256 ``stats_digest`` over all schedule-derived fields
 re-running the same spec/seed/backend reproduces it byte-identically.
 """
 
-from .generator import (
-    Batch,
-    ClientOp,
-    WorkloadSpec,
-    client_batches,
-    zipf_cdf,
-)
-from .service import (
-    BACKENDS,
-    AbdKvServiceNode,
-    ScdKvServiceNode,
-    ServiceReport,
-    ToKvServiceNode,
-    run_service,
-)
+from .. import _exports
 
-__all__ = [
-    "Batch",
-    "ClientOp",
-    "WorkloadSpec",
-    "client_batches",
-    "zipf_cdf",
-    "BACKENDS",
-    "AbdKvServiceNode",
-    "ScdKvServiceNode",
-    "ServiceReport",
-    "ToKvServiceNode",
-    "run_service",
-]
+_EXPORTS = {
+    "generator": ("Batch", "ClientOp", "WorkloadSpec", "client_batches", "zipf_cdf"),
+    "service": (
+        "BACKENDS", "AbdKvServiceNode", "ScdKvServiceNode", "ServiceReport",
+        "ToKvServiceNode", "run_service",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)

@@ -7,10 +7,16 @@ dispatch, and nondet re-export propagation.
 """
 
 import ast
+import importlib
+import inspect
 import textwrap
+from pathlib import Path
 
+import repro
 from repro.analyze.callgraph import build_index
 from repro.analyze.walker import ModuleInfo, module_name_from_path
+
+from tests.test_package_exports import PACKAGES
 
 
 def make(path, source):
@@ -80,6 +86,73 @@ class TestNameResolution:
         [(call, callee)] = list(index.calls_in(local))
         assert callee is not None
         assert callee.key == "repro.amp.util:helper"
+
+    def _through_package(self, init_source):
+        util = make(
+            "repro/amp/util.py",
+            """
+            def helper():
+                return 1
+            """,
+        )
+        init = make("repro/amp/__init__.py", init_source)
+        user = make(
+            "repro/shm/user.py",
+            """
+            from repro.amp import helper
+
+            def use():
+                return helper()
+            """,
+        )
+        index = build_index([util, init, user])
+        [(call, callee)] = list(index.calls_in(index.functions["repro.shm.user:use"]))
+        return init, callee
+
+    def test_package_init_reexport_resolves(self):
+        # In an __init__.py, ``.`` is the package itself, not its parent.
+        init, callee = self._through_package("from .util import helper\n")
+        assert init.import_map["helper"] == "repro.amp.util.helper"
+        assert callee is not None and callee.key == "repro.amp.util:helper"
+
+    def test_export_table_reexport_resolves(self):
+        init, callee = self._through_package(
+            """
+            from .. import _exports
+
+            _EXPORTS = {"util": ("helper",)}
+
+            __getattr__, __dir__, __all__ = _exports.lazy_exports(__name__, _EXPORTS)
+            """
+        )
+        assert init.import_map["helper"] == "repro.amp.util.helper"
+        assert callee is not None and callee.key == "repro.amp.util:helper"
+
+    def test_export_table_only_counts_in_a_package(self):
+        module = make("repro/amp/proto.py", '_EXPORTS = {"util": ("helper",)}\n')
+        assert "helper" not in module.import_map
+
+
+class TestPackageExportTables:
+    """The index reads every package's ``_EXPORTS`` table, so each public
+    function and class resolves through its package to its definition."""
+
+    def test_every_public_function_and_class_resolves(self):
+        src = Path(repro.__file__).resolve().parent
+        index = build_index(
+            ModuleInfo(str(path), path.read_text()) for path in sorted(src.rglob("*.py"))
+        )
+        unresolved = []
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                value = getattr(module, name)
+                if not (inspect.isclass(value) or inspect.isfunction(value)):
+                    continue
+                target = f"{package}.{name}"
+                if index.function_at(target) is None and index._class_at(target) is None:
+                    unresolved.append(target)
+        assert not unresolved, unresolved
 
 
 class TestClassHierarchy:
