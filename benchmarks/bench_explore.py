@@ -430,17 +430,28 @@ def test_explore_reduction(benchmark):
     benchmark.pedantic(body, rounds=1, iterations=1)
 
 
+class _CountingAmpModel(AmpModel):
+    """Counts its ``_run`` calls: one replay for the root, then one per
+    handler-step memo miss."""
+
+    runs = 0
+
+    def _run(self, schedule, sink=None):
+        self.runs += 1
+        return super()._run(schedule, sink)
+
+
 def test_scd_three_broadcasters_exhaustive():
     """SCD with three broadcasters, n=3, explored exhaustively by the
     serial engine: every reachable configuration is coherent, and the
-    state and transition counts are exact."""
-    result = explore(
-        AmpModel(make_scd_nodes([["a"], ["b"], ["c"]])),
-        [scd_coherence()],
-        reduce=False,
-    )
+    state, transition and replay counts are exact.  No SCD-broadcast
+    handler reads ``ctx.time``, so the memo keys its 2,604 steps without
+    the tick (20,148 with it)."""
+    model = _CountingAmpModel(make_scd_nodes([["a"], ["b"], ["c"]]))
+    result = explore(model, [scd_coherence()], reduce=False)
     assert result.ok and result.complete
     assert (result.stats.states, result.stats.transitions) == (329_593, 1_409_598)
+    assert model.runs == 2_605
 
 
 def main(argv=None):

@@ -495,6 +495,9 @@ class AsyncRuntime:
         the frozen value.  Off, it costs one ``if`` per send call.
     """
 
+    #: the class of the per-process contexts
+    _context = Context
+
     def __init__(
         self,
         processes: Sequence[AsyncProcess],
@@ -562,7 +565,7 @@ class AsyncRuntime:
 
         self.now = 0.0
         self._started = False
-        self.contexts = [Context(self, pid) for pid in range(self.n)]
+        self.contexts = [self._context(self, pid) for pid in range(self.n)]
         self.crashed: Set[int] = set()
         self.recovered: Set[int] = set()
         self.storages: Dict[int, StableStorage] = {
@@ -921,6 +924,17 @@ class AsyncRuntime:
         )
 
 
+class _ClockReadingContext(Context):
+    """A :class:`Context` that notes each read of ``time`` on its
+    runtime's :attr:`DrivenRuntime.time_read`."""
+
+    @property
+    def time(self) -> float:
+        runtime = self._runtime
+        runtime.time_read = True
+        return runtime.now
+
+
 class DrivenRuntime(AsyncRuntime):
     """An :class:`AsyncRuntime` stepped from outside, one event at a time.
 
@@ -933,12 +947,19 @@ class DrivenRuntime(AsyncRuntime):
     :attr:`divergence`.  ``recoverable`` names the pids whose
     constructed state :meth:`recover` restores.
 
+    Its contexts record every read of ``ctx.time``: each read sets
+    :attr:`time_read`, which the caller clears before a step to learn
+    whether that step's handler read the clock.  The explorer keys a
+    step that never did on its local state and event alone, since it
+    has the same outcome at every tick.
+
     It builds none of the event loop's state (delay and link models, root
     RNG, heap, cancel set): the explorer starts one per miss of its
     handler-step memo, not one per explored prefix.
     """
 
     divergence = ConfigurationError
+    _context = _ClockReadingContext
 
     def __init__(
         self,
@@ -957,6 +978,8 @@ class DrivenRuntime(AsyncRuntime):
         self._timer_counter = 0
         self.losses = 0
         self.duplicated = 0
+        #: set by any read of ``ctx.time``; only the caller clears it
+        self.time_read = False
         #: send_seqs whose loss the sink records right after the send, as
         #: the event loop does when its link model loses a copy
         self._inline_losses: Set[int] = set()

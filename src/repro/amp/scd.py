@@ -19,7 +19,7 @@ counter/key-value family consensus-free**, yet strictly weaker than
 total order: two processes may legitimately deliver ``{m} {m'}`` and
 ``{m, m'}`` — a divergence TO-broadcast forbids and the explorer
 exhibits as a replayable counterexample (see
-:func:`repro.explore.protocols.make_scd_nodes`).
+:func:`repro.explore.amp_protocols.make_scd_nodes`).
 
 Implementation (the IMPR message pattern, ``t < n/2``):
 

@@ -230,6 +230,7 @@ def render_github(finding: Finding) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The ``python -m repro.analyze`` command line; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description=(

@@ -89,6 +89,7 @@ def get_rule(rule_id: str) -> Rule:
 
 
 def known_rule_ids() -> List[str]:
+    """Every registered rule id, sorted."""
     _load_builtin_rules()
     return sorted(_REGISTRY)
 

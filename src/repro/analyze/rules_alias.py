@@ -140,6 +140,8 @@ class _MutateAfterPublish(Rule):
 
 @rule
 class MutateAfterSend(_MutateAfterPublish):
+    """ALIAS001: a message object mutated after it was sent or decided."""
+
     id = "ALIAS001"
     summary = (
         "message object mutated after send/broadcast/decide in the same "
@@ -169,6 +171,8 @@ class MutateAfterSend(_MutateAfterPublish):
 
 @rule
 class MutateSnapshotView(_MutateAfterPublish):
+    """ALIAS002: a snapshot or scan view mutated after it was taken."""
+
     id = "ALIAS002"
     summary = (
         "snapshot/scan view mutated after it was taken — views are shared "

@@ -84,6 +84,8 @@ def _resolve(module: ModuleInfo, call: ast.Call) -> Optional[str]:
 
 @rule
 class NondeterministicSource(Rule):
+    """DET001: protocol code reads the wall clock or OS entropy."""
+
     id = "DET001"
     summary = (
         "protocol/kernel code reads ambient nondeterminism (wall clock, "
@@ -110,6 +112,8 @@ class NondeterministicSource(Rule):
 
 @rule
 class SharedRandomState(Rule):
+    """DET002: protocol code draws from a global, unseeded or shared RNG."""
+
     id = "DET002"
     summary = (
         "protocol/kernel code uses the global random module, an unseeded "
@@ -173,6 +177,8 @@ class SharedRandomState(Rule):
 
 @rule
 class UnorderedIteration(Rule):
+    """DET003: a send or decision fed by iteration over an unordered set."""
+
     id = "DET003"
     summary = (
         "iteration over an unordered set feeds a send/decision without "
@@ -256,6 +262,8 @@ class UnorderedIteration(Rule):
 
 @rule
 class NondeterministicHelperCall(Rule):
+    """DET004: a call to a helper whose result derives from DET001 sources."""
+
     id = "DET004"
     summary = (
         "call to a helper whose return value derives from ambient "

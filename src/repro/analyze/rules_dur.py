@@ -140,6 +140,8 @@ def _durability_scans(module: ModuleInfo) -> Iterator[_ClassDurability]:
 
 @rule
 class RestoreWithoutPersist(Rule):
+    """DUR001: a recovery hook reads a ``ctx.stable`` key nothing writes."""
+
     id = "DUR001"
     summary = (
         "recovery hook reads a ctx.stable key that no code path ever "
@@ -169,6 +171,8 @@ class RestoreWithoutPersist(Rule):
 
 @rule
 class MutateAfterLastPersist(Rule):
+    """DUR002: durable state published after a change it never persisted."""
+
     id = "DUR002"
     summary = (
         "durable attribute modified and then published (send/broadcast/"
@@ -216,6 +220,8 @@ class MutateAfterLastPersist(Rule):
 
 @rule
 class PersistWithoutRestore(Rule):
+    """DUR003: a ``ctx.stable`` key written but never read back on recovery."""
+
     id = "DUR003"
     summary = (
         "state persisted under a ctx.stable key the recovery hook never "

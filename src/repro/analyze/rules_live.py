@@ -61,6 +61,8 @@ def _inescapable_loops(func_node: ast.AST) -> Iterator[ast.While]:
 
 @rule
 class BlockingHandlerLoop(Rule):
+    """LIVE001: a handler-reachable ``while True`` that never exits."""
+
     id = "LIVE001"
     summary = (
         "handler-reachable while True with no break/return/raise — the "
@@ -101,6 +103,8 @@ class BlockingHandlerLoop(Rule):
 
 @rule
 class RecursiveHandler(Rule):
+    """LIVE002: a handler that transitively calls itself."""
+
     id = "LIVE002"
     summary = (
         "handler transitively calls itself through self.* dispatch — no "

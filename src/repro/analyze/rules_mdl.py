@@ -43,6 +43,8 @@ def _is_mutable_value(node: ast.AST) -> Optional[str]:
 
 @rule
 class ClassLevelMutableState(Rule):
+    """MDL001: class-level mutable state shared by every process instance."""
+
     id = "MDL001"
     summary = (
         "protocol class holds class-level mutable state — shared by every "
@@ -79,6 +81,8 @@ class ClassLevelMutableState(Rule):
 
 @rule
 class CrossModelImport(Rule):
+    """MDL002: one model's module imports another model's code."""
+
     id = "MDL002"
     summary = (
         "module of one model imports another model's code — reductions "
@@ -140,6 +144,8 @@ class CrossModelImport(Rule):
 
 @rule
 class PrivateReachThrough(Rule):
+    """MDL003: protocol code reaches into private state it was handed."""
+
     id = "MDL003"
     summary = (
         "protocol code reaches into the private state of an object it was "

@@ -92,6 +92,8 @@ def _compare_pairs(node: ast.Compare) -> Iterator[Tuple[ast.AST, ast.cmpop, ast.
 
 @rule
 class OffByOneMajority(Rule):
+    """QRM001: a majority threshold written as ``n // 2``."""
+
     id = "QRM001"
     summary = (
         "majority threshold written as n // 2 (compared with >=, or bound "
@@ -245,6 +247,8 @@ def _scan_local_counters(func: ast.AST) -> _CounterScan:
 
 @rule
 class UnkeyedQuorumCount(Rule):
+    """QRM002: a quorum counter that ignores sender identity."""
+
     id = "QRM002"
     summary = (
         "quorum counter populated without sender identity (+= 1 / "
@@ -280,6 +284,8 @@ class UnkeyedQuorumCount(Rule):
 
 @rule
 class InconsistentThreshold(Rule):
+    """QRM003: one counter compared against different quorum thresholds."""
+
     id = "QRM003"
     summary = (
         "the same counter is compared against different quorum threshold "

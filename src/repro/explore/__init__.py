@@ -25,6 +25,11 @@ from .. import _exports
 
 _EXPORTS = {
     "amp_model": ("AmpModel",),
+    "amp_protocols": (
+        "FloodMinProcess", "QuorumAcceptor", "QuorumProposer", "make_flood_min",
+        "make_quorum_commit", "make_scd_nodes", "quorum_commit_agreement",
+        "scd_coherence", "scd_termination", "scd_uniform_sets",
+    ),
     "counterexample": ("Counterexample",),
     "engine": (
         "Explorer", "ExploreResult", "ExploreStats", "Violation", "VisitedStore",
@@ -35,11 +40,8 @@ _EXPORTS = {
         "Eventually", "Invariant", "Property", "agreement", "termination", "validity",
     ),
     "protocols": (
-        "UNSET", "AdoptCommitMachine", "BrokenAdoptCommitMachine", "FloodMinProcess",
-        "QuorumAcceptor", "QuorumProposer", "adopt_commit_coherence",
-        "adopt_commit_convergence", "adopt_commit_validity", "make_flood_min",
-        "make_quorum_commit", "make_scd_nodes", "quorum_commit_agreement",
-        "scd_coherence", "scd_termination", "scd_uniform_sets",
+        "UNSET", "AdoptCommitMachine", "BrokenAdoptCommitMachine",
+        "adopt_commit_coherence", "adopt_commit_convergence", "adopt_commit_validity",
     ),
     "sharded": (
         "ShardedExplorer", "ShardedExploreResult", "schedule_key", "shard_of",

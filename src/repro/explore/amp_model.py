@@ -33,27 +33,38 @@ reached it.
 
 Crash, lose and dup are bookkeeping on the abstract state.  Deliver,
 timer and recover run a handler, and the fold looks each one up in a
-memo keyed by ``(local state, event, now)`` (a local state names its
-pid): the event is the delivered message's ``(src, repr(payload))``,
-the timer's ``repr(name)`` or the recovery, and ``now`` is the choice's
-tick (handlers may store ``ctx.time``).  An entry holds the target's new
-local state, the sends it parked, in seq order, and the timers it set.
-On a miss, and on any choice the fold cannot check, :meth:`AmpModel._run`
-re-executes the prefix up to that choice from fresh ``factory()``
-instances: a miss reads the step's outcome off that runtime, a bad
-choice raises there.  ``_run`` is the only code that runs handlers, so
-each handler runs once per distinct (local state, event, tick).  The
-memo rests on three assumptions.  A step mutates only its target
-process; equal renders behave alike; a handler reads only its process,
-its context, RNG and storage, the event and ``ctx.time``: no failure
+memo keyed by ``(local state, event)`` (a local state names its pid):
+the event is the delivered message's ``(src, repr(payload))``, the
+timer's ``repr(name)`` or the recovery.  An entry holds the target's
+new local state, the sends it parked, in seq order, and the timers it
+set.  On a miss, and on any choice the fold cannot check,
+:meth:`AmpModel._run` re-executes the prefix up to that choice from
+fresh ``factory()`` instances: a miss reads the step's outcome off that
+runtime, a bad choice raises there.  ``_run`` is the only code that
+runs handlers.
+
+Handlers may store ``ctx.time`` (SCD object nodes do), and a choice's
+tick is its 1-based position in the prefix.  The runtime's contexts
+record each read of the clock, and ``_run`` clears the record before
+each choice.  A step whose replay read it marks its key *timed*, and a
+timed key's outcomes are stored and looked up under ``(local state,
+event, tick)``.  This is sound because a handler that starts from the
+same local state on the same event sees identical inputs up to its first
+read of ``ctx.time``: a step that did not read the clock on its first
+run reads it at no tick, and has the same outcome at every tick.  So
+each handler runs once per distinct (local state, event), and once per
+tick as well only where it reads the clock.  The memo rests on three
+assumptions.  A step mutates only its target process; equal renders
+behave alike; a handler reads only its process, its context, RNG and
+storage, the event and the clock through ``ctx.time``: no failure
 detector is attached.  Processes that share a mutable object break the
 first; explore SCD object nodes with ``history=None``, since a shared
 :class:`~repro.core.history.History` is mutated by every node (and its
 address-bearing ``repr`` defeats dedup anyway).  The model keeps the
-abstract state of the prefix it folded last, since every engine asks
-all it needs about a prefix (fingerprint, properties, enabled choices)
-right after folding it, and that of its parent, from which BFS
-siblings, a DFS path and a walk fold their last choice.
+abstract state of the prefix it folded last, since every engine asks all
+it needs about a prefix (fingerprint, properties, enabled choices) right
+after folding it, and that of its parent, from which BFS siblings, a DFS
+path and a walk fold their last choice.
 
 The visited-set fingerprint is a sha256 over a canonical rendering of
 the global state: each process's render, then the crashed and recovered
@@ -85,7 +96,6 @@ from ..core.exceptions import ConfigurationError
 # Not called here; benchsuite's tracer still wraps it by this module's name.
 from ..core.volume import payload_units
 from ..trace.events import TraceEvent, trace_hash
-from ..trace.replay import replay
 from ..trace.sink import MemorySink, TraceSink
 from .counterexample import Counterexample
 from .model import ExplorationModel, Interner
@@ -191,9 +201,11 @@ class AmpModel(ExplorationModel):
         self._intern = Interner()
         #: (pid, render, storage) → the interned local state
         self._locals: Dict[Tuple[int, str, str], _Local] = {}
-        #: (local state, source, event, now) → (the target's new
-        #: local state, its parked sends, its set timers)
+        #: (local state, source, event), plus the tick for a timed key →
+        #: (the target's new local state, its parked sends, its set timers)
         self._steps: Dict[tuple, Tuple[_Local, tuple, tuple]] = {}
+        #: the (local state, source, event) keys whose step read ctx.time
+        self._timed: Set[tuple] = set()
         self._root: Optional[_State] = None
         #: the prefix folded last and its abstract state
         self._slot_prefix: Optional[Prefix] = None
@@ -208,7 +220,8 @@ class AmpModel(ExplorationModel):
         self, schedule: Sequence[Choice], sink: Optional[TraceSink] = None
     ) -> DrivenRuntime:
         """Fresh processes driven through ``schedule``, one tick of
-        virtual time per choice."""
+        virtual time per choice; ``time_read`` tells whether the last
+        choice read ``ctx.time``."""
         runtime = DrivenRuntime(
             list(self.factory()),
             seed=self.seed,
@@ -223,6 +236,7 @@ class AmpModel(ExplorationModel):
         runtime.start()
         for choice in schedule:
             runtime.now += 1.0
+            runtime.time_read = False
             kind = choice[0]
             if kind == "deliver":
                 runtime.deliver(choice[1])
@@ -389,11 +403,23 @@ class AmpModel(ExplorationModel):
         """Run ``pid``'s handler for ``prefix[i]`` on ``state``: from the
         memo, or on a miss by replaying the prefix through that choice.
         ``source`` is the delivered message's src, or ``"timer"`` or
-        ``"recover"``; ``event`` the payload's or timer name's ``repr``."""
-        key = (state.locals[pid], source, event, i + 1)
+        ``"recover"``; ``event`` the payload's or timer name's ``repr``.
+
+        A step is keyed by ``(local state, source, event)``.  A step
+        whose replay read ``ctx.time`` marks that key timed, and a timed
+        key's outcomes are stored and looked up with the tick appended:
+        up to its first read of the clock a handler sees the same inputs
+        at every tick, so a step that did not read it has one outcome."""
+        key = (state.locals[pid], source, event)
+        timed = key in self._timed
+        if timed:
+            key += (i + 1,)
         outcome = self._steps.get(key)
         if outcome is None:
             runtime = self._run(prefix[:i + 1])
+            if runtime.time_read and not timed:
+                self._timed.add(key)
+                key += (i + 1,)
             pending, timers = runtime.pending, runtime.pending_timers
             outcome = self._steps[key] = (
                 self._local(runtime, pid),
@@ -521,6 +547,9 @@ class AmpModel(ExplorationModel):
     # -- counterexamples ---------------------------------------------------
 
     def counterexample(self, schedule: Sequence[Choice]) -> Counterexample:
+        # Imported here: the replay module also loads the shm kernel.
+        from ..trace.replay import replay
+
         sink = MemorySink()
         self._run(schedule, sink)
         events = list(sink.events)

@@ -35,7 +35,6 @@ from ..shm.statemachine import (
     build_objects,
 )
 from ..trace.events import TraceEvent, trace_hash
-from ..trace.replay import ShmReplayScheduler
 from ..trace.sink import MemorySink
 from .counterexample import Counterexample
 from .model import ExplorationModel, Interner
@@ -130,6 +129,9 @@ class ShmMachineModel(ExplorationModel):
     # -- counterexamples ---------------------------------------------------
 
     def counterexample(self, schedule: Sequence[int]) -> Counterexample:
+        # Imported here: the replay module also loads the AMP kernel.
+        from ..trace.replay import ShmReplayScheduler
+
         runtime_schedule = self._runtime_schedule(schedule)
         events = self._record(runtime_schedule)
         machine, inputs, n = self.machine, self.inputs, self.n

@@ -102,6 +102,7 @@ def event_to_json(event: TraceEvent) -> str:
 
 
 def event_from_json(line: str) -> TraceEvent:
+    """The event one :func:`event_to_json` line encodes."""
     raw = json.loads(line)
     return TraceEvent(
         seq=raw["seq"],
@@ -147,4 +148,5 @@ def crashed_pids(events: Iterable[TraceEvent]) -> frozenset:
 
 
 def recovered_pids(events: Iterable[TraceEvent]) -> frozenset:
+    """Every pid that recovered at least once."""
     return frozenset(e.pid for e in events if e.kind == RECOVER)

@@ -1002,21 +1002,26 @@ class _ReferenceAmpModel(AmpModel):
         return frozenset(self._materialize(prefix).crashed)
 
 
-class _LockstepAmpModel(AmpModel):
+class _CountingAmpModel(AmpModel):
+    """Counts its own ``_run`` calls, the replays the memo could not
+    avoid."""
+
+    runs = 0
+
+    def _run(self, schedule, sink=None):
+        self.runs += 1
+        return super()._run(schedule, sink)
+
+
+class _LockstepAmpModel(_CountingAmpModel):
     """Checks every fingerprinted prefix against the reference, on a
     separate reference model: the digest, ``enabled()``, ``decisions()``,
-    ``crashed()`` and each process's attributes.  Counts its own
-    ``_run`` calls, the replays the memo could not avoid."""
+    ``crashed()`` and each process's attributes."""
 
     def __init__(self, factory, **budgets):
         super().__init__(factory, **budgets)
         self.reference = _ReferenceAmpModel(factory, **budgets)
         self.checked = 0
-        self.runs = 0
-
-    def _run(self, schedule, sink=None):
-        self.runs += 1
-        return super()._run(schedule, sink)
 
     def fingerprint(self, prefix):
         digest = super().fingerprint(prefix)
@@ -1033,7 +1038,7 @@ class _LockstepAmpModel(AmpModel):
 
     def check_replays(self):
         """One replay for the root, then one per memo entry (a miss)."""
-        assert self.runs <= len(self._steps) + 1
+        assert self.runs == len(self._steps) + 1
 
 
 class _Tossing(Scripted):

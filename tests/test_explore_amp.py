@@ -7,16 +7,21 @@ import pytest
 
 from repro.core import ConfigurationError
 from repro.explore import (
+    BFS,
+    DFS,
     AmpModel,
     agreement,
     explore,
     make_flood_min,
     make_quorum_commit,
+    make_scd_nodes,
     quorum_commit_agreement,
+    scd_coherence,
     termination,
     validity,
 )
 from repro.trace.events import DECIDE, DELIVER, SEND
+from tests.test_amp_network import Scripted, _Clocked, _CountingAmpModel
 
 
 class TestFloodMinCorrect:
@@ -336,3 +341,68 @@ class TestRecoveryExploration:
             properties=[quorum_commit_agreement()],
         )
         assert result.ok and result.complete
+
+
+class _StartClocked(Scripted):
+    """``Scripted`` that reads ``ctx.time`` in ``on_start`` only."""
+
+    def on_start(self, ctx):
+        self.started = ctx.time
+        super().on_start(ctx)
+
+
+class TestHandlerStepMemo:
+    """A handler step runs once per (local state, event), and once per
+    tick as well only if it reads ``ctx.time``."""
+
+    def test_step_runs_once_per_tick_only_if_it_reads_the_clock(self):
+        # p0 and p1 send each other one message.  Each delivery reaches
+        # its target in its initial state, at tick 1 or, after the other
+        # delivery, at tick 2.
+        def run(variant):
+            model = _CountingAmpModel(
+                lambda: [variant([("send", 1, "a")]), variant([("send", 0, "b")])]
+            )
+            explore(model, strategy=BFS(), reduce=False)
+            return model.runs, sorted(len(key) for key in model._steps)
+
+        # The root, then one replay per delivery's step.
+        assert run(Scripted) == (3, [3, 3])
+        # A read of the clock marks only the step that made it.
+        assert run(_StartClocked) == (3, [3, 3])
+        # _Clocked stores ctx.time: one replay per delivery per tick.
+        assert run(_Clocked) == (5, [4, 4, 4, 4])
+
+    @pytest.mark.parametrize("strategy", [BFS, DFS])
+    def test_scd_crash_small(self, strategy):
+        model = _CountingAmpModel(make_scd_nodes([["a"], [], []]), max_crashes=1)
+        result = explore(model, [scd_coherence()], strategy=strategy(), reduce=False)
+        assert (result.stats.states, result.stats.transitions) == (104, 143)
+        assert model.runs == 11
+
+    def test_scd_crash_full(self):
+        model = _CountingAmpModel(make_scd_nodes([["a"], ["b"], []]), max_crashes=1)
+        result = explore(model, [scd_coherence()], reduce=False)
+        assert result.ok and result.complete
+        assert (result.stats.states, result.stats.transitions) == (15_172, 35_473)
+        assert model.runs == 183
+
+    @pytest.mark.parametrize(
+        "factory, budgets, runs",
+        [
+            (make_scd_nodes([["a"], [], []]), dict(max_crashes=1, allow_recovery=True), 36),
+            (make_flood_min([3, 1, 2]), dict(max_crashes=1, allow_recovery=True), 40),
+            (make_flood_min([3, 1, 2]), dict(max_losses=1, max_duplications=1), 19),
+            (make_quorum_commit(durable=False), dict(max_crashes=1, allow_recovery=True), 18),
+            (make_quorum_commit(durable=True), dict(max_crashes=1, allow_recovery=True), 18),
+        ],
+        ids=[
+            "scd-recovery", "flood-min-recovery", "flood-min-links",
+            "quorum-commit-volatile", "quorum-commit-durable",
+        ],
+    )
+    def test_exhaustive_bfs(self, factory, budgets, runs):
+        model = _CountingAmpModel(factory, **budgets)
+        result = explore(model, strategy=BFS(), reduce=False)
+        assert result.complete
+        assert model.runs == runs

@@ -15,6 +15,11 @@ SUBPACKAGES = [
     "repro.shm",
     "repro.amp",
     "repro.amp.consensus",
+    "repro.explore",
+    "repro.analyze",
+    "repro.trace",
+    "repro.harness",
+    "repro.workload",
 ]
 
 
@@ -24,7 +29,9 @@ def iter_all_modules():
         yield package
         if hasattr(package, "__path__"):
             for info in pkgutil.iter_modules(package.__path__):
-                yield importlib.import_module(f"{package_name}.{info.name}")
+                # Importing a __main__ runs its command line.
+                if info.name != "__main__":
+                    yield importlib.import_module(f"{package_name}.{info.name}")
 
 
 @pytest.mark.parametrize("package_name", SUBPACKAGES)

@@ -188,14 +188,24 @@ CLOSURES = [
     ),
     (
         "from repro.explore import explore, ShmMachineModel",
-        "repro repro._exports repro.amp repro.amp.network repro.amp.storage "
-        "repro.analyze repro.analyze.freeze repro.core repro.core.exceptions "
-        "repro.core.history repro.core.seqspec repro.core.volume repro.explore "
+        "repro repro._exports repro.analyze repro.analyze.freeze repro.core "
+        "repro.core.exceptions repro.core.history repro.core.seqspec repro.explore "
         "repro.explore.counterexample repro.explore.engine repro.explore.model "
         "repro.explore.properties repro.explore.shm_model repro.explore.strategies "
         "repro.shm repro.shm.runtime repro.shm.schedulers repro.shm.statemachine "
         "repro.trace repro.trace.analysis repro.trace.diagram repro.trace.events "
-        "repro.trace.replay repro.trace.sink",
+        "repro.trace.sink",
+        ("multiprocessing", "sqlite3"),
+    ),
+    (
+        "from repro.explore import AmpModel, explore, make_scd_nodes, scd_coherence",
+        "repro repro._exports repro.amp repro.amp.network repro.amp.storage "
+        "repro.analyze repro.analyze.freeze repro.core repro.core.exceptions "
+        "repro.core.volume repro.explore repro.explore.amp_model "
+        "repro.explore.amp_protocols repro.explore.counterexample "
+        "repro.explore.engine repro.explore.model repro.explore.properties "
+        "repro.explore.strategies repro.trace repro.trace.analysis "
+        "repro.trace.diagram repro.trace.events repro.trace.sink",
         ("multiprocessing", "sqlite3"),
     ),
 ]
@@ -279,9 +289,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_export_named_like_its_submodule_is_the_export():
-    # repro.explore's adapters import the submodule repro.trace.replay
-    # directly; the package attribute stays the function it exports.
-    import repro.explore.amp_model  # noqa: F401
+    # Importing the submodule repro.trace.replay directly, as the
+    # explorer's adapters do, leaves the package attribute the function
+    # it exports.
+    import repro.trace.replay  # noqa: F401
     from repro.trace import replay
 
     assert replay is sys.modules["repro.trace.replay"].replay
