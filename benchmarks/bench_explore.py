@@ -441,17 +441,29 @@ class _CountingAmpModel(AmpModel):
         return super()._run(schedule, sink)
 
 
-def test_scd_three_broadcasters_exhaustive():
+def test_scd_three_broadcasters_exhaustive(monkeypatch):
     """SCD with three broadcasters, n=3, explored exhaustively by the
     serial engine: every reachable configuration is coherent, and the
     state, transition and replay counts are exact.  No SCD-broadcast
     handler reads ``ctx.time``, so the memo keys its 2,604 steps without
-    the tick (20,148 with it)."""
+    the tick (20,148 with it).  ``scd_coherence`` checks Integrity once
+    per distinct process object and MS-Ordering once per distinct pair
+    of them, counted here by wrapping the two helpers."""
+    from repro.amp import scd
+
+    checks = {"scd_positions": 0, "scd_ms_ordering": 0}
+    for name in checks:
+        def counted(*args, helper=getattr(scd, name), name=name):
+            checks[name] += 1
+            return helper(*args)
+
+        monkeypatch.setattr(scd, name, counted)
     model = _CountingAmpModel(make_scd_nodes([["a"], ["b"], ["c"]]))
     result = explore(model, [scd_coherence()], reduce=False)
     assert result.ok and result.complete
     assert (result.stats.states, result.stats.transitions) == (329_593, 1_409_598)
     assert model.runs == 2_605
+    assert checks == {"scd_positions": 963, "scd_ms_ordering": 35_580}
 
 
 def main(argv=None):

@@ -314,6 +314,50 @@ class ScdBroadcast:
 # ---------------------------------------------------------------------------
 
 
+def scd_positions(
+    pid: int, sets: Sequence[MessageSet]
+) -> Tuple[Optional[Dict[MessageId, int]], Optional[str]]:
+    """Integrity of process ``pid``'s delivered sets.
+
+    Returns ``(positions, None)``, where ``positions`` maps each
+    delivered message id to the index of its set, or ``(None, violation)``
+    at the first message delivered twice.
+    """
+    seen: Dict[MessageId, int] = {}
+    for index, message_set in enumerate(sets):
+        for message in message_set:
+            if message.message_id in seen:
+                return None, (
+                    f"integrity violated: process {pid} delivered "
+                    f"{message.message_id} twice (sets "
+                    f"{seen[message.message_id]} and {index})"
+                )
+            seen[message.message_id] = index
+    return seen, None
+
+
+def scd_ms_ordering(
+    i: int, positions_i: Dict[MessageId, int], j: int, positions_j: Dict[MessageId, int]
+) -> Optional[str]:
+    """MS-Ordering between processes ``i`` and ``j``, given their
+    :func:`scd_positions`: ``None``, or the first pair of common messages
+    (in id order) that they deliver in opposite strict orders."""
+    common = sorted(set(positions_i) & set(positions_j))
+    for a_index, first in enumerate(common):
+        for second in common[a_index + 1 :]:
+            de_i = positions_i[first] - positions_i[second]
+            de_j = positions_j[first] - positions_j[second]
+            if (de_i < 0 and de_j > 0) or (de_i > 0 and de_j < 0):
+                return (
+                    f"MS-ordering violated on {first} vs {second}: "
+                    f"process {i} orders them "
+                    f"{positions_i[first]}/{positions_i[second]}, "
+                    f"process {j} orders them "
+                    f"{positions_j[first]}/{positions_j[second]}"
+                )
+    return None
+
+
 def check_scd_histories(
     histories: Sequence[Sequence[MessageSet]],
 ) -> Optional[str]:
@@ -321,36 +365,21 @@ def check_scd_histories(
 
     Returns ``None`` when the histories are SCD-consistent, else a
     description of the violation.  ``histories[i]`` is process ``i``'s
-    sequence of delivered message sets, in delivery order.
+    sequence of delivered message sets, in delivery order.  Integrity is
+    checked for every process (:func:`scd_positions`) before
+    MS-Ordering for any pair (:func:`scd_ms_ordering`).
     """
     positions: List[Dict[MessageId, int]] = []
     for pid, sets in enumerate(histories):
-        seen: Dict[MessageId, int] = {}
-        for index, message_set in enumerate(sets):
-            for message in message_set:
-                if message.message_id in seen:
-                    return (
-                        f"integrity violated: process {pid} delivered "
-                        f"{message.message_id} twice (sets "
-                        f"{seen[message.message_id]} and {index})"
-                    )
-                seen[message.message_id] = index
+        seen, violation = scd_positions(pid, sets)
+        if violation is not None:
+            return violation
         positions.append(seen)
     for i in range(len(histories)):
         for j in range(i + 1, len(histories)):
-            common = sorted(set(positions[i]) & set(positions[j]))
-            for a_index, first in enumerate(common):
-                for second in common[a_index + 1 :]:
-                    de_i = positions[i][first] - positions[i][second]
-                    de_j = positions[j][first] - positions[j][second]
-                    if (de_i < 0 and de_j > 0) or (de_i > 0 and de_j < 0):
-                        return (
-                            f"MS-ordering violated on {first} vs {second}: "
-                            f"process {i} orders them "
-                            f"{positions[i][first]}/{positions[i][second]}, "
-                            f"process {j} orders them "
-                            f"{positions[j][first]}/{positions[j][second]}"
-                        )
+            violation = scd_ms_ordering(i, positions[i], j, positions[j])
+            if violation is not None:
+                return violation
     return None
 
 

@@ -71,7 +71,9 @@ the global state: each process's render, then the crashed and recovered
 sets, the loss/duplication budgets, the stable storages and the pending
 message/timer multisets — two prefixes that converge to the same global
 state dedup even though their schedules differ.  The text is assembled
-from the renders the local states keep.
+from renders already made: those the local states keep, and each pending
+send's and timer's fragment, rendered once where ``_absorb`` or a memo
+outcome parks the entry and joined in sorted order.
 
 Independence: two choices commute iff they touch different target
 processes (handlers only mutate their own process; new sends land in
@@ -89,6 +91,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..amp.network import AsyncProcess, DrivenRuntime
@@ -116,12 +119,32 @@ class _Local:
     process: AsyncProcess
 
 
+def _parked_send(src: int, dst: int, payload: object, units: int) -> tuple:
+    """A pending send's entry: the runtime's, its payload's ``repr`` and
+    its fingerprint fragment ``repr((src, dst, repr(payload)))``."""
+    text = repr(payload)
+    return (src, dst, payload, units, text, repr((src, dst, text)))
+
+
+def _parked_timer(pid: int, name: object) -> tuple:
+    """A pending timer's entry: the runtime's, its name's ``repr`` and
+    its fingerprint fragment ``repr((pid, repr(name)))``."""
+    text = repr(name)
+    return (pid, name, text, repr((pid, text)))
+
+
+#: The fingerprint lists the fragments sorted by ``(src, dst, text)`` and
+#: ``(pid, text)``: equal keys have equal fragments.
+_SEND_ORDER = itemgetter(0, 1, 4)
+_TIMER_ORDER = itemgetter(0, 2)
+
+
 @dataclass
 class _State:
     """A prefix's abstract state: what the fold steps and every query reads.
 
-    ``pending`` maps a send seq to ``(src, dst, payload, units,
-    repr(payload))``, ``timers`` a timer seq to ``(pid, name, repr(name))``.
+    ``pending`` maps a send seq to a :func:`_parked_send` entry,
+    ``timers`` a timer seq to a :func:`_parked_timer` entry.
     """
 
     locals: List[_Local]
@@ -294,14 +317,8 @@ class AmpModel(ExplorationModel):
         """The abstract state of a replayed runtime."""
         return _State(
             [self._local(runtime, pid) for pid in range(self.n)],
-            {
-                seq: (src, dst, payload, units, repr(payload))
-                for seq, (src, dst, payload, units) in runtime.pending.items()
-            },
-            {
-                seq: (pid, name, repr(name))
-                for seq, (pid, name) in runtime.pending_timers.items()
-            },
+            {seq: _parked_send(*entry) for seq, entry in runtime.pending.items()},
+            {seq: _parked_timer(*entry) for seq, entry in runtime.pending_timers.items()},
             set(runtime.crashed),
             set(runtime.recovered),
             runtime.losses,
@@ -411,7 +428,8 @@ class AmpModel(ExplorationModel):
         up to its first read of the clock a handler sees the same inputs
         at every tick, so a step that did not read it has one outcome."""
         key = (state.locals[pid], source, event)
-        timed = key in self._timed
+        # No key is timed until some step reads the clock.
+        timed = key in self._timed if self._timed else False
         if timed:
             key += (i + 1,)
         outcome = self._steps.get(key)
@@ -424,11 +442,11 @@ class AmpModel(ExplorationModel):
             outcome = self._steps[key] = (
                 self._local(runtime, pid),
                 tuple(
-                    pending[seq] + (repr(pending[seq][2]),)
+                    _parked_send(*pending[seq])
                     for seq in range(state.sends, runtime._send_counter)
                 ),
                 tuple(
-                    timers[seq] + (repr(timers[seq][1]),)
+                    _parked_timer(*timers[seq])
                     for seq in range(state.timer_count, runtime._timer_counter)
                 ),
             )
@@ -485,18 +503,19 @@ class AmpModel(ExplorationModel):
         state = self._state(prefix)
         locals_ = state.locals
         # The repr of one list: every pid's render, then the shared parts.
-        shared = ", ".join((
-            repr(sorted(state.crashed)),
-            repr(sorted(state.recovered)),
-            repr((state.losses, state.duplicated)),
-            "[" + ", ".join(local.storage for local in locals_) + "]",
-            repr(sorted(
-                (src, dst, text) for (src, dst, _, _, text) in state.pending.values()
-            )),
-            repr(sorted((pid, text) for (pid, _, text) in state.timers.values())),
-        ))
-        pids = ", ".join(local.render for local in locals_)
-        text = f"[{pids}, {shared}]"
+        text = "[%s, %r, %r, %r, [%s], [%s], [%s]]" % (
+            ", ".join([local.render for local in locals_]),
+            sorted(state.crashed),
+            sorted(state.recovered),
+            (state.losses, state.duplicated),
+            ", ".join([local.storage for local in locals_]),
+            ", ".join([
+                entry[5] for entry in sorted(state.pending.values(), key=_SEND_ORDER)
+            ]),
+            ", ".join([
+                entry[3] for entry in sorted(state.timers.values(), key=_TIMER_ORDER)
+            ]),
+        )
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._intern(digest)
 
@@ -547,7 +566,7 @@ class AmpModel(ExplorationModel):
     # -- counterexamples ---------------------------------------------------
 
     def counterexample(self, schedule: Sequence[Choice]) -> Counterexample:
-        # Imported here: the replay module also loads the shm kernel.
+        # Imported here: a search that finds no violation never replays.
         from ..trace.replay import replay
 
         sink = MemorySink()

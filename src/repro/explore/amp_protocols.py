@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..amp.network import AsyncProcess, Context
+from ..core.exceptions import ConfigurationError
 from .model import Config, ExplorationModel
 from .properties import Eventually, Invariant
 
@@ -188,11 +189,21 @@ def make_scd_nodes(
     return factory
 
 
+def _history(pid: int, process: AsyncProcess) -> Sequence:
+    """``process``'s delivered sets; a process without them is a
+    misconfiguration, not a process with nothing to check."""
+    try:
+        return process.delivered_sets
+    except AttributeError:
+        raise ConfigurationError(
+            f"process {pid} ({type(process).__name__}) has no delivered_sets: "
+            f"the SCD properties read every process's delivery history"
+        ) from None
+
+
 def _scd_histories(model: ExplorationModel, config: Config) -> List[Sequence]:
     return [
-        process.delivered_sets
-        for process in model.processes(config)
-        if hasattr(process, "delivered_sets")
+        _history(pid, process) for pid, process in enumerate(model.processes(config))
     ]
 
 
@@ -204,11 +215,47 @@ def scd_coherence() -> Invariant:
     strict orders (delivering them in one set is always allowed).
     Checked as an invariant — it must hold in every reachable
     configuration, not just terminal ones.
+
+    The verdict is :func:`~repro.amp.scd.check_scd_histories`'s, from
+    the same two helpers in the same order, but each is reused: the
+    Integrity check once per distinct process object and MS-Ordering
+    once per distinct pair of them.  That relies on the model handing
+    out one read-only process object per local state, as
+    :meth:`AmpModel.processes <repro.explore.amp_model.AmpModel.processes>`
+    does, so a step re-checks only its target's history and the pairs
+    it is in.  Every process must have ``delivered_sets``, else
+    :class:`~repro.core.exceptions.ConfigurationError`.
     """
-    from ..amp.scd import check_scd_histories
+    from ..amp.scd import scd_ms_ordering, scd_positions
+
+    #: id(process) → (the process, its positions, its Integrity verdict,
+    #: {id(a later pid's process) → their MS-Ordering verdict}); holding
+    #: the process keeps its id from being reused.
+    seen: Dict[int, tuple] = {}
 
     def check(model: ExplorationModel, config: Config) -> Optional[str]:
-        return check_scd_histories(_scd_histories(model, config))
+        entries = []
+        for pid, process in enumerate(model.processes(config)):
+            entry = seen.get(id(process))
+            if entry is None:
+                positions, violation = scd_positions(pid, _history(pid, process))
+                entry = seen[id(process)] = (process, positions, violation, {})
+            entries.append(entry)
+        for _, _, violation, _ in entries:
+            if violation is not None:
+                return violation
+        for i, (_, positions, _, verdicts) in enumerate(entries):
+            for j, (other, other_positions, _, _) in enumerate(entries[i + 1:], i + 1):
+                key = id(other)
+                if key in verdicts:
+                    violation = verdicts[key]
+                else:
+                    violation = verdicts[key] = scd_ms_ordering(
+                        i, positions, j, other_positions
+                    )
+                if violation is not None:
+                    return violation
+        return None
 
     return Invariant("scd-coherence", check)
 

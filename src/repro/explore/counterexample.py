@@ -4,7 +4,7 @@ A violation found by exploration is only as good as its repro.  A
 :class:`Counterexample` therefore carries the *recorded trace* of the
 violating schedule (captured through the kernel's own ``sink=`` hook)
 plus a replay closure that re-executes it through the PR 3 replay
-machinery — :class:`~repro.trace.replay.ShmReplayScheduler` for shared
+machinery — :class:`~repro.trace.shm_replay.ShmReplayScheduler` for shared
 memory, :func:`~repro.trace.replay.replay` for AMP, a re-run under
 :class:`~repro.explore.sync_model.ScriptedAdversary` for the
 (deterministic) synchronous kernel.  ``replays_identically()`` asserts

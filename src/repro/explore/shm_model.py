@@ -16,7 +16,7 @@ Counterexample schedules are pid lists: recorded through the real
 :class:`~repro.shm.schedulers.ListScheduler` (with one trailing step
 per decided process — the runtime retires a generator on the resume
 *after* its last operation), and replayed through
-:class:`~repro.trace.replay.ShmReplayScheduler`.
+:class:`~repro.trace.shm_replay.ShmReplayScheduler`.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class ShmMachineModel(ExplorationModel):
     # -- counterexamples ---------------------------------------------------
 
     def counterexample(self, schedule: Sequence[int]) -> Counterexample:
-        # Imported here: the replay module also loads the AMP kernel.
-        from ..trace.replay import ShmReplayScheduler
+        # Imported here: a search that finds no violation never replays.
+        from ..trace.shm_replay import ShmReplayScheduler
 
         runtime_schedule = self._runtime_schedule(schedule)
         events = self._record(runtime_schedule)

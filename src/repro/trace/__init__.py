@@ -11,7 +11,8 @@ a captured trace:
   chains, critical-path latency, and trace-level re-checks of
   agreement / validity / termination;
 * :mod:`repro.trace.replay` — deterministic re-execution of a recorded
-  AMP schedule (and shared-memory step sequences), adversary detached;
+  AMP schedule, adversary detached, and :mod:`repro.trace.shm_replay`
+  of a shared-memory step sequence: each loads only its own kernel;
 * :mod:`repro.trace.diagram` — ASCII space-time diagrams.
 
 Capture → replay in five lines::
@@ -37,10 +38,9 @@ _EXPORTS = {
         "TraceEvent", "crashed_pids", "decisions", "event_from_json", "event_to_json",
         "events_for", "recovered_pids", "trace_hash",
     ),
-    "replay": (
-        "ReplayDivergence", "ReplayRuntime", "ShmReplayScheduler", "replay",
-        "schedule_of",
-    ),
+    "divergence": ("ReplayDivergence",),
+    "replay": ("ReplayRuntime", "replay", "schedule_of"),
+    "shm_replay": ("ShmReplayScheduler",),
     "sink": ("JsonlSink", "MemorySink", "TraceSink", "dump_trace", "load_trace"),
 }
 

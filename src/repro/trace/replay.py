@@ -26,8 +26,10 @@ as the original, and the :class:`~repro.amp.network.AmpRunResult`\\ s
 agree on decisions, message/payload counts, decision times, and final
 virtual time.
 
-Shared-memory runs replay through :class:`ShmReplayScheduler` (the
-recorded step sequence as a scheduler); synchronous runs are already
+Shared-memory runs replay through
+:class:`~repro.trace.shm_replay.ShmReplayScheduler` (the recorded step
+sequence as a scheduler), in a module of its own, so that each replay
+loads only the kernel it replays; synchronous runs are already
 deterministic given their crash schedule and adversary, so their trace
 is a proof object rather than a replay input.
 """
@@ -37,31 +39,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..amp.network import AmpRunResult, AsyncProcess, DrivenRuntime
-from ..core.exceptions import ConfigurationError, ModelViolation
-from ..shm.runtime import Scheduler
-from .events import (
-    CRASH,
-    DECIDE,
-    DELIVER,
-    DROP,
-    READ,
-    RECOVER,
-    SEND,
-    SNAPSHOT,
-    STEP,
-    TIMER,
-    WRITE,
-    TraceEvent,
-)
+from ..core.exceptions import ConfigurationError
+from .divergence import ReplayDivergence
+from .events import CRASH, DELIVER, DROP, RECOVER, SEND, TIMER, TraceEvent
 from .sink import TraceSink
 
 #: The event kinds that *drive* an AMP replay (everything the original
 #: event loop processed, in processing order).
 SCHEDULE_KINDS = frozenset({DELIVER, DROP, TIMER, CRASH, RECOVER})
-
-
-class ReplayDivergence(ModelViolation):
-    """The re-executed protocol departed from the recorded run."""
 
 
 def schedule_of(events: Sequence[TraceEvent]) -> List[TraceEvent]:
@@ -192,43 +177,3 @@ def replay(
         processes, events, seed=seed, failure_detector=failure_detector, sink=sink
     ).run()
 
-
-# -- shared-memory replay ----------------------------------------------------
-
-_SHM_STEPLIKE = frozenset({READ, WRITE, SNAPSHOT, STEP, DECIDE})
-
-
-class ShmReplayScheduler(Scheduler):
-    """Replay a recorded shared-memory run's step sequence and crashes.
-
-    Every executed step left exactly one event in the trace (a
-    ``read``/``write``/``snapshot``/``step``, or the ``decide`` of the
-    process's final resume), so the pid sequence of those events *is*
-    the schedule; ``crash`` events are re-injected at their recorded
-    step numbers via ``crash_now``.
-    """
-
-    def __init__(self, events: Sequence[TraceEvent]) -> None:
-        self._steps = [e.pid for e in events if e.kind in _SHM_STEPLIKE]
-        self._crashes: Dict[int, List[int]] = {}
-        for e in events:
-            if e.kind == CRASH:
-                self._crashes.setdefault(int(e.time), []).append(e.pid)
-        self._next = 0
-
-    def crash_now(self, step_no: int, runnable: Sequence[int]) -> Sequence[int]:
-        return tuple(self._crashes.get(step_no, ()))
-
-    def choose(self, step_no: int, runnable: Sequence[int]) -> int:
-        if self._next >= len(self._steps):
-            raise ReplayDivergence(
-                f"replayed run wants a step beyond the recorded {len(self._steps)}"
-            )
-        pid = self._steps[self._next]
-        self._next += 1
-        if pid not in runnable:
-            raise ReplayDivergence(
-                f"recorded step #{self._next - 1} on {pid}, "
-                f"but {pid} is not runnable in replay"
-            )
-        return pid

@@ -208,6 +208,29 @@ CLOSURES = [
         "repro.trace.diagram repro.trace.events repro.trace.sink",
         ("multiprocessing", "sqlite3"),
     ),
+    # Each replay loads only the kernel it replays.
+    (
+        "from repro.trace import replay",
+        "repro repro._exports repro.amp repro.amp.network repro.amp.storage "
+        "repro.analyze repro.analyze.freeze repro.core repro.core.exceptions "
+        "repro.core.volume repro.trace repro.trace.divergence repro.trace.events "
+        "repro.trace.replay repro.trace.sink",
+        (),
+    ),
+    (
+        "from repro.trace import ShmReplayScheduler",
+        "repro repro._exports repro.analyze repro.analyze.freeze repro.core "
+        "repro.core.exceptions repro.core.history repro.core.seqspec repro.shm "
+        "repro.shm.runtime repro.trace repro.trace.divergence repro.trace.events "
+        "repro.trace.shm_replay",
+        (),
+    ),
+    (
+        "from repro.trace import ReplayDivergence",
+        "repro repro._exports repro.core repro.core.exceptions repro.trace "
+        "repro.trace.divergence",
+        (),
+    ),
 ]
 
 
@@ -289,9 +312,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_export_named_like_its_submodule_is_the_export():
-    # Importing the submodule repro.trace.replay directly, as the
-    # explorer's adapters do, leaves the package attribute the function
-    # it exports.
+    # Importing the submodule repro.trace.replay directly, as the AMP
+    # adapter does, leaves the package attribute the function it exports.
     import repro.trace.replay  # noqa: F401
     from repro.trace import replay
 
